@@ -5,6 +5,13 @@ scale grid. The sharp operator weights local best-approximation errors by
 t**-alpha; the degree of the fitted polynomial space follows alpha through
 one of two conventions ("sharp" and "flat") that differ only at integer
 alpha.
+
+Cubes are found chunk by chunk: for a fixed-size block of centres the
+Chebyshev distances to the whole cloud are computed once and each row is
+ordered by scale level, so every cube Q(x_i, t_j) is a prefix of its row.
+``error_matrices`` fits the cubes of one scale in batches, for every
+requested function at once, and reproduces ``fit_in_span`` cell by cell;
+``hl_maximal`` takes prefix sums along the same rows.
 """
 from __future__ import annotations
 
@@ -18,18 +25,19 @@ from .errors import (
     NonFiniteValue,
     NonpositiveAlpha,
     OutOfRange,
-    RankDeficient,
     ScaleTooFine,
     TooFewPoints,
 )
 from .measure import WeightedPointCloud
-from .polyapprox import (
+# fit_in_span stays importable here: bench/layers.py wraps it by name.
+from .polyapprox import (  # noqa: F401
     CLAMP_REL,
     DEFAULT_DELTA_REL,
     DEFAULT_MAX_ITER,
     DEFAULT_RTOL,
     MIN_POINTS_FACTOR,
-    basis_size,
+    RANK_RTOL_SV,
+    _vandermonde,
     fit_in_span,
     multi_indices,
 )
@@ -39,10 +47,15 @@ __all__ = [
     "ScaleGrid",
     "degree_for_sharp",
     "degree_for_flat",
+    "error_matrices",
     "approx_error_matrix",
     "sharp_maximal",
     "hl_maximal",
 ]
+
+# Bound on the (centre, point) pairs of one block of distances, and on the
+# elements a batch of fits allocates at once; keeps the kernels' memory flat in N.
+CHUNK_ELEMS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -147,6 +160,98 @@ def _variant_degree(alpha: float, variant: str) -> int:
     raise OutOfRange(f"variant must be 'sharp' or 'flat', got {variant!r}")
 
 
+def _neighbourhoods(cloud: WeightedPointCloud, scales: np.ndarray):
+    """Every cube Q(x_i, t_j) as a prefix of an ordered row, chunk by chunk.
+
+    Yields (rows, order, counts) for fixed-size chunks of centres: row r of
+    ``order`` lists cloud indices by the number of scales whose cube misses
+    them (a stable sort of small integer keys, so ties keep index order),
+    hence Q(x_rows[r], t_j) is ``order[r, :counts[r, j]]``.
+    """
+    pts = cloud.points
+    size, nscales = cloud.size, scales.size
+    step = max(1, CHUNK_ELEMS // size)
+    for start in range(0, size, step):
+        rows = np.arange(start, min(start + step, size))
+        dx = np.abs(pts[rows, None, 0] - pts[None, :, 0])
+        for axis in range(1, cloud.ambient_dim):
+            np.maximum(dx, np.abs(pts[rows, None, axis] - pts[None, :, axis]), out=dx)
+        # Scales below the Chebyshev distance, whose cubes miss the point.
+        missed = np.zeros(dx.shape, dtype=np.min_scalar_type(nscales))
+        for t in scales:
+            missed += dx > t
+        del dx
+        order = np.argsort(missed, axis=1, kind="stable")
+        counts = np.stack([np.sum(missed <= j, axis=1) for j in range(nscales)], axis=1)
+        yield rows, order, counts[:, ::-1]
+
+
+def error_matrices(
+    cloud: WeightedPointCloud,
+    values,
+    k: int,
+    u: float,
+    grid: ScaleGrid,
+    min_points_factor: int = MIN_POINTS_FACTOR,
+) -> np.ndarray:
+    """Normalized local errors of several functions, shape [F, N, S].
+
+    Entry (f, i, j) is the average-form best-approximation error of
+    ``values[f]`` over Q(x_i, t_j) by degree <= k - 1 polynomials, measured in
+    L^u. Cubes holding fewer than ``min_points_factor`` times the basis size
+    (or rank deficient, for a function not zero there) are NaN; a point with
+    every scale skipped raises, since its maximal value would be meaningless.
+    """
+    if not (1.0 <= u < math.inf):
+        raise OutOfRange(f"u must lie in [1, inf), got {u}")
+    if k < 1:
+        raise OutOfRange(f"space parameter k must be >= 1, got {k}")
+    if len(grid) == 0:
+        raise EmptyGrid("scale grid holds no scales")
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != cloud.size:
+        raise OutOfRange("function sample count does not match the cloud")
+    n, size = cloud.ambient_dim, cloud.size
+    exps = np.asarray(multi_indices(n, k - 1), dtype=int).reshape(-1, n)
+    needed = max(1, min_points_factor * exps.shape[0])
+    # Index ``size`` is a zero-weight sentinel padding cubes to a common width.
+    pts = np.vstack([cloud.points, np.zeros((1, n))])
+    wts = np.append(cloud.weights, 0.0)
+    vals = np.concatenate([values, np.zeros((values.shape[0], 1))], axis=1)
+    # A batch of fits keeps about two arrays per function and basis column
+    # alive, each holding one element per (cell, point) pair.
+    per_point = 2 * (values.shape[0] + exps.shape[0])
+    out = np.full((values.shape[0], size, len(grid)), np.nan)
+    for rows, order, counts in _neighbourhoods(cloud, grid.scales):
+        for j, t in enumerate(grid.scales):
+            live = np.flatnonzero(counts[:, j] >= needed)
+            if live.size == 0:
+                break
+            step = max(1, CHUNK_ELEMS // (int(counts[live, j].max()) * per_point))
+            for start in range(0, live.size, step):
+                cells = live[start : start + step]
+                m = counts[cells, j]
+                width = int(m.max())
+                inside = np.arange(width) < m[:, None]
+                idx = np.where(inside, order[cells, :width], size)
+                w = wts[idx]
+                mass = w.sum(axis=1)
+                V = None
+                if exps.shape[0] > 1:
+                    z = (pts[idx] - cloud.points[rows[cells], None, :]) / t
+                    V = _vandermonde(z.reshape(-1, n), exps).reshape(idx.shape + (-1,))
+                    V = np.ascontiguousarray(np.swapaxes(V, 1, 2))
+                err = _local_errors(V, w, np.take(vals, idx, axis=1), u, mass)
+                out[:, rows[cells], j] = err / mass ** (1.0 / u)
+    skipped = np.isnan(out).all(axis=2).any(axis=0)
+    if skipped.any():
+        raise TooFewPoints(
+            f"point {int(np.argmax(skipped))} admits no scale with {needed} "
+            f"points for k={k}"
+        )
+    return out
+
+
 def approx_error_matrix(
     cloud: WeightedPointCloud,
     f,
@@ -155,107 +260,131 @@ def approx_error_matrix(
     grid: ScaleGrid,
     min_points_factor: int = MIN_POINTS_FACTOR,
 ) -> np.ndarray:
-    """Normalized local errors, one row per cloud point, one column per scale.
+    """Normalized local errors of one function: row i, column j is Q(x_i, t_j).
 
-    Entry (i, j) is the average-form best-approximation error of f over
-    Q(x_i, t_j) by degree <= k - 1 polynomials, measured in L^u. Scales whose
-    cube holds too few points (or is rank deficient) are NaN; a point with
-    every scale skipped raises, since its maximal value would be meaningless.
+    The one-function case of ``error_matrices``.
     """
-    if not (1.0 <= u < math.inf):
-        raise OutOfRange(f"u must lie in [1, inf), got {u}")
-    if len(grid) == 0:
-        raise EmptyGrid("scale grid holds no scales")
     values = np.asarray(getattr(f, "values", f), dtype=float).ravel()
-    if values.shape[0] != cloud.size:
-        raise OutOfRange("function sample count does not match the cloud")
-    n = cloud.ambient_dim
-    d = basis_size(n, k)
-    needed = max(1, min_points_factor * d)
-    pts = cloud.points
-    wts = cloud.weights
-    scales = grid.scales
-    inv_u = 1.0 / u
-    out = np.full((cloud.size, len(grid)), np.nan)
-
-    if d > 1:
-        exps = np.asarray(multi_indices(n, k - 1), dtype=int).reshape(-1, n)
-        degs = exps.sum(axis=1).astype(float)
-
-    for i in range(cloud.size):
-        dx = np.max(np.abs(pts - pts[i]), axis=1) if n > 1 else np.abs(
-            pts[:, 0] - pts[i, 0]
-        )
-        order = np.argsort(dx, kind="stable")
-        dxs = dx[order]
-        fo = values[order]
-        wo = wts[order]
-        if d > 1:
-            rel = pts[order] - pts[i]
-            raw = np.ones((cloud.size, d))
-            for col, e in enumerate(exps):
-                for j in range(n):
-                    p = int(e[j])
-                    if p:
-                        raw[:, col] *= rel[:, j] ** p
-        for j, t in enumerate(scales):
-            m = int(np.searchsorted(dxs, t, side="right"))
-            if m < needed:
-                continue
-            w = wo[:m]
-            fv = fo[:m]
-            mass = float(w.sum())
-            if d == 1:
-                ek = _constant_fit_error(fv, w, mass, u)
-            else:
-                V = raw[:m] * t**-degs
-                try:
-                    _, ek, _, _ = fit_in_span(V, w, fv, u)
-                except RankDeficient:
-                    continue
-            out[i, j] = ek / mass**inv_u
-        if np.isnan(out[i]).all():
-            raise TooFewPoints(
-                f"point {i} admits no scale with {needed} points for k={k}"
-            )
-    return out
+    return error_matrices(cloud, values[None], k, u, grid, min_points_factor)[0]
 
 
-def _constant_fit_error(fv: np.ndarray, w: np.ndarray, mass: float, u: float) -> float:
-    """Best-constant error in L^u; mirrors fit_in_span's degree-0 behavior."""
-    scale = float(np.max(np.abs(fv)))
-    if scale == 0.0:
-        return 0.0
-    c = float(np.dot(w, fv) / mass)
-    r = fv - c
-    if u == 2.0:
-        value = float(np.sqrt(np.dot(w, r * r)))
-    elif u == 1.0:
-        # The weighted median minimizes sum w|f - c| exactly; no iteration.
-        order = np.argsort(fv, kind="stable")
-        cum = np.cumsum(w[order])
-        c = float(fv[order][np.searchsorted(cum, 0.5 * mass)])
-        value = float(np.dot(w, np.abs(fv - c)))
+def _local_errors(V, w, f, u, mass):
+    """Best-approximation errors of functions f[F, L, W] on cells [L].
+
+    Follows ``fit_in_span`` cell by cell. V is the [L, d, W] design, or None
+    for constants (k = 1). Constants in L^1 take the weighted median; every
+    other fit starts from weighted least squares, which is final for u = 2,
+    and otherwise iterates from there.
+    """
+    scale = np.abs(f).max(axis=2)
+    deficient = np.zeros(mass.shape, dtype=bool)
+    if V is None:
+        if u == 1.0:
+            # Ties reorder freely: the median value, hence the error, is the same.
+            order = np.argsort(f, axis=2)
+            cum = np.cumsum(np.take_along_axis(w[None], order, axis=2), axis=2)
+            pos = np.sum(cum < 0.5 * mass[:, None], axis=2, keepdims=True)
+            c = np.take_along_axis(f, np.take_along_axis(order, pos, axis=2), axis=2)
+            value = np.einsum("flw,lw->fl", np.abs(f - c), w)
+            return _clamp(value, scale, mass, u)
+        coef = (np.einsum("flw,lw->fl", f, w) / mass)[..., None]
+        resid = f - coef
     else:
-        delta2 = (DEFAULT_DELTA_REL * scale) ** 2
-        obj = float(np.dot(w, np.abs(r) ** u) ** (1.0 / u))
-        best = obj
-        exponent = 0.5 * u - 1.0
-        damping = 1.0 / (u - 1.0) if u > 2.0 else 1.0
-        for _ in range(DEFAULT_MAX_ITER):
-            omega = w * (r * r + delta2) ** exponent
-            c += damping * (float(np.dot(omega, fv) / omega.sum()) - c)
-            r = fv - c
-            new_obj = float(np.dot(w, np.abs(r) ** u) ** (1.0 / u))
-            if new_obj < best:
-                best = new_obj
-            if abs(new_obj - obj) <= DEFAULT_RTOL * max(obj, DEFAULT_DELTA_REL * scale):
-                break
-            obj = new_obj
-        value = best
-    if value <= CLAMP_REL * scale * mass ** (1.0 / u):
-        value = 0.0
+        Vw = V * w[:, None]
+        lam, basis = np.linalg.eigh(Vw @ np.swapaxes(V, 1, 2))
+        deficient = lam[:, 0] <= lam[:, -1] * (100.0 * RANK_RTOL_SV**2)
+        if deficient.any():
+            # Near the threshold the Gram spectrum is too coarse; decide with
+            # fit_in_span's own test on the singular values of sqrt(w) V.
+            doubt = np.flatnonzero(deficient)
+            sv = np.linalg.svd(
+                np.sqrt(w[doubt])[:, None] * V[doubt], compute_uv=False
+            )
+            deficient[doubt] = sv[:, -1] <= sv[:, 0] * RANK_RTOL_SV
+            lam[deficient] = 1.0
+        # f[:, :, None] holds each cell's values as a row: [F, L, 1, W].
+        rhs = f[:, :, None] @ np.swapaxes(Vw, 1, 2)
+        coef = (rhs @ basis / lam[:, None]) @ np.swapaxes(basis, 1, 2)
+        resid = f - (coef @ V)[:, :, 0]
+        coef = coef[:, :, 0]
+    if u == 2.0:
+        value = np.sqrt(np.einsum("flw,flw,lw->fl", resid, resid, w))
+    else:
+        value = _irls(V, w, f, u, coef, resid, scale, ~deficient)
+    value = _clamp(value, scale, mass, u)
+    value[:, deficient] = np.where(scale[:, deficient] > 0.0, np.nan, 0.0)
     return value
+
+
+def _irls(V, w, f, u, coef, resid, scale, usable):
+    """fit_in_span's reweighted iteration on every (function, cell) pair.
+
+    Each pair stops on its own rule; returns the objective at its best
+    iterate. Converged pairs leave the working arrays.
+    """
+    nfun, ncell, width = f.shape
+    cells = np.tile(np.arange(ncell), nfun)
+    scale = scale.ravel()
+    # Pairs left out (zero data, rank-deficient cell) are settled by the caller.
+    best = np.zeros(nfun * ncell)
+    act = np.flatnonzero(usable[cells] & (scale > 0.0))
+    cells = cells[act]
+    fa, wa = f.reshape(-1, width)[act], w[cells]
+    ca = coef.reshape(nfun * ncell, -1)[act]
+    Va = None if V is None else V[cells]
+    floor = DEFAULT_DELTA_REL * scale[act]
+    # |r|**u as (r*r)**(u/2): the squares also feed the weights, and the
+    # power is a plain square for u = 4.
+    rr = np.square(resid.reshape(-1, width)[act])
+    obj = low = np.sum(wa * rr ** (0.5 * u), axis=1) ** (1.0 / u)
+    exponent = 0.5 * u - 1.0
+    # Plain reweighting oscillates for u > 2; see fit_in_span.
+    damping = 1.0 / (u - 1.0) if u > 2.0 else 1.0
+    for _ in range(DEFAULT_MAX_ITER):
+        if act.size == 0:
+            break
+        omega = wa * (rr + (floor * floor)[:, None]) ** exponent
+        if Va is None:
+            step = (np.einsum("pw,pw->p", omega, fa) / omega.sum(axis=1))[:, None]
+        else:
+            Vo = Va * omega[:, None]
+            G = Vo @ np.swapaxes(Va, 1, 2)
+            step = _solve_each(G, Vo @ fa[..., None], Va, omega, fa)
+        ca = ca + damping * (step - ca)
+        rr = np.square(fa - (ca if Va is None else (ca[:, None] @ Va)[:, 0]))
+        new = np.sum(wa * rr ** (0.5 * u), axis=1) ** (1.0 / u)
+        low = np.minimum(low, new)
+        done = np.abs(new - obj) <= DEFAULT_RTOL * np.maximum(obj, floor)
+        obj = new
+        if done.any():
+            best[act[done]] = low[done]
+            keep = ~done
+            act, fa, wa, rr, ca, floor, obj, low = (
+                x[keep] for x in (act, fa, wa, rr, ca, floor, obj, low)
+            )
+            Va = None if Va is None else Va[keep]
+    best[act] = low
+    return best.reshape(nfun, ncell)
+
+
+def _solve_each(G, rhs, V, omega, f):
+    """Batched G x = rhs; a singular system falls back to lstsq as in fit_in_span."""
+    try:
+        return np.linalg.solve(G, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.empty(rhs.shape[:2])
+        for p in range(len(G)):
+            try:
+                out[p] = np.linalg.solve(G[p], rhs[p])[:, 0]
+            except np.linalg.LinAlgError:
+                so = np.sqrt(omega[p])
+                out[p] = np.linalg.lstsq((V[p] * so).T, so * f[p], rcond=None)[0]
+        return out
+
+
+def _clamp(value, scale, mass, u):
+    """Errors below CLAMP_REL times the local data scale are exact fits: 0."""
+    return np.where(value <= CLAMP_REL * scale * mass ** (1.0 / u), 0.0, value)
 
 
 def sharp_maximal(
@@ -314,22 +443,15 @@ def hl_maximal(
     values = np.asarray(getattr(g, "values", g), dtype=float).ravel()
     if values.shape[0] != cloud.size:
         raise OutOfRange("function sample count does not match the cloud")
-    pts = cloud.points
     wts = cloud.weights
-    n = cloud.ambient_dim
     powered = wts * np.abs(values) ** sigma
     out = np.empty(cloud.size)
-    for i in range(cloud.size):
-        dx = np.max(np.abs(pts - pts[i]), axis=1) if n > 1 else np.abs(
-            pts[:, 0] - pts[i, 0]
-        )
-        order = np.argsort(dx, kind="stable")
-        cw = np.cumsum(wts[order])
-        cg = np.cumsum(powered[order])
-        counts = np.searchsorted(dx[order], grid.scales, side="right")
-        counts = counts[counts >= 1]
-        avgs = cg[counts - 1] / cw[counts - 1]
-        out[i] = float(np.max(avgs)) ** (1.0 / sigma)
+    for rows, order, counts in _neighbourhoods(cloud, grid.scales):
+        near = order[:, : counts[:, 0].max()]
+        last = counts - 1
+        cw = np.take_along_axis(np.cumsum(wts[near], axis=1), last, axis=1)
+        cg = np.take_along_axis(np.cumsum(powered[near], axis=1), last, axis=1)
+        out[rows] = np.max(cg / cw, axis=1) ** (1.0 / sigma)
     name = getattr(g, "name", "")
     return GridFunction(
         cloud,

@@ -28,7 +28,6 @@ __all__ = [
     "moran_dimension",
     "build_cloud",
     "ahlfors_constants",
-    "resolution_scale",
     "cantor_dust",
     "sierpinski_carpet",
     "unit_square",
@@ -157,12 +156,8 @@ class WeightedPointCloud:
 
     @property
     def resolution_scale(self) -> float:
+        """Diameter of the deepest generation cell: diam * max_ratio**depth."""
         return self.diam * self.max_ratio**self.depth
-
-
-def resolution_scale(cloud: WeightedPointCloud) -> float:
-    """Diameter of the deepest generation cell: diam * max_ratio**depth."""
-    return cloud.resolution_scale
 
 
 @dataclass(frozen=True)
@@ -279,7 +274,7 @@ def ahlfors_constants(
 ) -> AhlforsReport:
     """Min/max of mass(Q(x, r)) / r**s over sampled centers and given scales.
 
-    Scales must lie in [resolution_scale(cloud), diam]; finer requests are
+    Scales must lie in [cloud.resolution_scale, diam]; finer requests are
     meaningless at this depth and are rejected.
     """
     scales = [float(r) for r in scales]

@@ -18,7 +18,14 @@ import numpy as np
 from .errors import EmptyCube, OutOfRange, RankDeficient, TooFewPoints
 from .functions import battery, sample
 from .geometry import Cube, restrict
-from .maximal import ScaleGrid, approx_error_matrix, degree_for_flat, degree_for_sharp
+# approx_error_matrix stays importable here: bench/layers.py wraps it by name.
+from .maximal import (  # noqa: F401
+    ScaleGrid,
+    approx_error_matrix,
+    degree_for_flat,
+    degree_for_sharp,
+    error_matrices,
+)
 from .measure import (
     WeightedPointCloud,
     ahlfors_constants,
@@ -109,38 +116,49 @@ def sobolev_exponent(s: float, p: float, k: int) -> float:
 class MatrixCache:
     """Shares error matrices and scale grids across checks of one run.
 
-    Keyed by cloud identity, function name, degree parameter, and inner
-    exponent; every check that can reuse a matrix does, which both saves
-    time and makes cross-check inequalities exact rather than statistical.
+    Keyed by the identities of the cloud and the function, the degree
+    parameter and the inner exponent. Each entry holds the objects it is
+    keyed on, so no identity can be reused while the cache lives. Every
+    check that can reuse a matrix does, which both saves time and makes
+    cross-check inequalities exact rather than statistical.
     """
 
     def __init__(self, factor: float = 4.0):
         self.factor = factor
-        self._grids: dict[int, ScaleGrid] = {}
-        self._matrices: dict[tuple, np.ndarray] = {}
+        self._grids: dict[int, tuple[WeightedPointCloud, ScaleGrid]] = {}
+        self._matrices: dict[tuple, tuple[object, np.ndarray]] = {}
 
     def grid(self, cloud: WeightedPointCloud) -> ScaleGrid:
-        key = id(cloud)
-        if key not in self._grids:
-            self._grids[key] = ScaleGrid.dyadic(cloud, factor=self.factor)
-        return self._grids[key]
+        if id(cloud) not in self._grids:
+            grid = ScaleGrid.dyadic(cloud, factor=self.factor)
+            self._grids[id(cloud)] = (cloud, grid)
+        return self._grids[id(cloud)][1]
+
+    def matrices(self, cloud: WeightedPointCloud, funcs, k: int, u: float) -> list:
+        """One matrix per function; every missing one comes from one kernel call."""
+        grid = self.grid(cloud)
+        keys = [(id(cloud), id(gf), int(k), float(u)) for gf in funcs]
+        missing = {key: gf for key, gf in zip(keys, funcs) if key not in self._matrices}
+        if missing:
+            values = np.stack([gf.values for gf in missing.values()])
+            built = error_matrices(cloud, values, k, u, grid)
+            for (key, gf), matrix in zip(missing.items(), built):
+                self._matrices[key] = (gf, matrix)
+        return [self._matrices[key][1] for key in keys]
 
     def matrix(self, cloud: WeightedPointCloud, gf, k: int, u: float) -> np.ndarray:
-        key = (id(cloud), gf.name, int(k), float(u))
-        if key not in self._matrices:
-            self._matrices[key] = approx_error_matrix(
-                cloud, gf, k, u, self.grid(cloud)
-            )
-        return self._matrices[key]
+        return self.matrices(cloud, [gf], k, u)[0]
 
     def sharp_values(
-        self, cloud: WeightedPointCloud, gf, alpha: float, u: float, k: int
-    ) -> np.ndarray:
-        """Pointwise sharp maximal values from the cached matrix."""
-        grid = self.grid(cloud)
-        matrix = self.matrix(cloud, gf, k, u)
+        self, cloud: WeightedPointCloud, funcs, alpha: float, u: float, k: int
+    ) -> list:
+        """Pointwise sharp maximal values of each function, from cached matrices."""
+        weights = self.grid(cloud).scales**-alpha
         with np.errstate(invalid="ignore"):
-            return np.nanmax(matrix * grid.scales**-alpha, axis=1)
+            return [
+                np.nanmax(matrix * weights, axis=1)
+                for matrix in self.matrices(cloud, funcs, k, u)
+            ]
 
 
 @dataclass(frozen=True)
@@ -362,6 +380,8 @@ def check_poincare(
     compared with t**alpha times the L^sigma average of the sharp maximal
     function over the doubled cube, 1/sigma = 1/q + alpha/s.
     """
+    if not funcs:
+        return 0.0, [], 0
     if window is None:
         window = _radius_window(cloud, 4.0)
     lo, hi = window
@@ -375,9 +395,9 @@ def check_poincare(
     worst = 0.0
     witnesses: list[Witness] = []
     evaluated = 0
-    sharp_by_name = {
-        gf.name: cache.sharp_values(cloud, gf, alpha, 1.0, k) for gf in funcs
-    }
+    sharp_by_name = dict(
+        zip((gf.name for gf in funcs), cache.sharp_values(cloud, funcs, alpha, 1.0, k))
+    )
     for j in range(3 * samples):
         if evaluated >= samples:
             break
@@ -432,11 +452,10 @@ def check_sharp_equivalence(
     """
     k = degree_for_sharp(alpha)
     us = tuple(sorted(float(u) for u in exponents))
-    values = {
-        (gf.name, u): cache.sharp_values(cloud, gf, alpha, u, k)
-        for gf in funcs
-        for u in us
-    }
+    values = {}
+    for u in us:
+        for gf, v in zip(funcs, cache.sharp_values(cloud, funcs, alpha, u, k)):
+            values[(gf.name, u)] = v
     left_worst = 0.0
     left_witnesses: list[Witness] = []
     right_constant = 0.0
@@ -489,9 +508,8 @@ def check_embedding_chain(
     r2_constant = 0.0
     for alpha in alphas:
         k = degree_for_flat(alpha)
-        for gf in funcs:
-            matrix = cache.matrix(cloud, gf, k, p)
-            grid = cache.grid(cloud)
+        grid = cache.grid(cloud)
+        for gf, matrix in zip(funcs, cache.matrices(cloud, funcs, k, p)):
             weighted_cols = _column_lp(matrix, cloud.weights, p) * (
                 grid.scales**-alpha
             )
@@ -543,8 +561,7 @@ def check_sobolev_embedding(
     q = sobolev_exponent(cloud.s, p, k)
     worst = 0.0
     witnesses: list[Witness] = []
-    for gf in funcs:
-        sharp = cache.sharp_values(cloud, gf, float(k), 1.0, k)
+    for gf, sharp in zip(funcs, cache.sharp_values(cloud, funcs, float(k), 1.0, k)):
         rhs = lp_norm(cloud, sharp, p)
         mean = float(np.dot(cloud.weights, gf.values))
         lhs = lp_norm(cloud, gf.values - mean, q)
@@ -634,7 +651,7 @@ def check_ahlfors(
     return report, witness
 
 
-def _stability(per_gen: dict, check: str) -> tuple[float, list[Witness], dict]:
+def _stability(per_gen: dict) -> tuple[float, list[Witness], dict]:
     """Worst consecutive-depth drift of a per-generator constant family."""
     worst = 1.0
     witnesses: list[Witness] = []
@@ -664,10 +681,6 @@ def _stability(per_gen: dict, check: str) -> tuple[float, list[Witness], dict]:
     return worst, witnesses, {"constants": table}
 
 
-def _select(funcs_by_name: dict, names: tuple):
-    return [funcs_by_name[n] for n in names if n in funcs_by_name]
-
-
 def run_all(config: RunConfig) -> list[CheckResult]:
     """Run every check over the configured clouds and aggregate verdicts."""
     budgets = config.budgets()
@@ -678,6 +691,17 @@ def run_all(config: RunConfig) -> list[CheckResult]:
             clouds.append((gen_index, spec.name, build_cloud(spec, depth)))
     if not clouds:
         return []
+    known = {tf.name for tf in battery(clouds[0][2], seed=config.seed)}
+    unknown = [
+        f"{field}: {sorted(set(names) - known)}"
+        for field, names in (
+            ("check_functions", config.check_functions),
+            ("sharp_functions", config.sharp_functions),
+        )
+        if set(names) - known
+    ]
+    if unknown:
+        raise OutOfRange(f"unknown function names in {'; '.join(unknown)}")
 
     nclouds = len(clouds)
     mono_quota = max(1, -(-config.mono_pairs // nclouds))
@@ -709,8 +733,8 @@ def run_all(config: RunConfig) -> list[CheckResult]:
             tf.name: sample(tf, cloud) for tf in battery(cloud, seed=config.seed)
         }
         all_funcs = list(funcs_by_name.values())
-        check_funcs = _select(funcs_by_name, config.check_functions)
-        sharp_funcs = _select(funcs_by_name, config.sharp_functions)
+        check_funcs = [funcs_by_name[n] for n in config.check_functions]
+        sharp_funcs = [funcs_by_name[n] for n in config.sharp_functions]
 
         worst, reg, wits, evaluated = check_monotonicity(
             cloud,
@@ -843,7 +867,7 @@ def run_all(config: RunConfig) -> list[CheckResult]:
             if not multi:
                 continue
             found = True
-            fam_worst, fam_wits, fam_meta = _stability(multi, check_name)
+            fam_worst, fam_wits, fam_meta = _stability(multi)
             meta[label] = fam_meta["constants"]
             if fam_worst > worst:
                 worst = fam_worst

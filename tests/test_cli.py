@@ -134,6 +134,16 @@ class TestVerify:
         assert main(["verify", "--config", cfg]) == 2
         assert "mono_paris" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field,name", [("check_functions", "nope"), ("sharp_functions", "cusp_beta03")]
+    )
+    def test_unknown_function_name_fails_cleanly(self, tmp_path, capsys, field, name):
+        cfg = write_config(tmp_path, {"generators": [["interval", [6]]], field: [name]})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and name in err
+        assert not (tmp_path / "verdict.txt").exists()
+
     def test_malformed_json_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -5,6 +5,7 @@ import pytest
 
 import frakspace as fs
 import oracles
+import reference_matrix
 
 
 def rough_sample(cloud, seed=5):
@@ -236,3 +237,72 @@ class TestHlProperties:
     def test_sigma_validation(self, dust3):
         with pytest.raises(fs.OutOfRange):
             fs.hl_maximal(dust3, np.ones(64), 0.0)
+
+
+class TestKernelPinnedToCellLoop:
+    """The chunked kernel against the per-cell loop it replaced.
+
+    NaN patterns must agree exactly. Values agree to rtol relative plus the
+    zero clamp's floor: 1e-9 where the fit is closed-form (u = 2, and the
+    weighted median for k = 1, u = 1), 1e-6 where it is iterative.
+    """
+
+    CLOUDS = ("dust3", "interval6", "cantor4_d4", "square3", "carpet2")
+
+    @pytest.fixture(scope="class")
+    def cantor4_d4(self):
+        return fs.build_cloud(fs.generator_spec("cantor4"), 4)
+
+    @pytest.mark.parametrize("name", CLOUDS)
+    def test_matches_reference(self, request, name):
+        cloud = request.getfixturevalue(name)
+        vals = rough_sample(cloud)
+        grid = fs.ScaleGrid.dyadic(cloud)
+        floor = 2.0 * fs.polyapprox.CLAMP_REL * np.max(np.abs(vals))
+        for k in (1, 2, 3):
+            for u in (1.0, 2.0, 3.0, 4.0):
+                if cloud.size > 64 and (k, u) == (3, 1.0):
+                    continue  # the reference's IRLS takes seconds here
+                got = fs.approx_error_matrix(cloud, vals, k, u, grid)
+                want = reference_matrix.approx_error_matrix(cloud, vals, k, u, grid)
+                assert np.array_equal(np.isnan(got), np.isnan(want)), (k, u)
+                ok = ~np.isnan(want)
+                rtol = 1e-9 if u == 2.0 or (k, u) == (1, 1.0) else 1e-6
+                gap = np.abs(got[ok] - want[ok]) - rtol * np.abs(want[ok])
+                assert np.all(gap <= floor), (k, u, float(gap.max()))
+
+    def test_rank_deficient_cubes_match_reference(self, make_cloud):
+        # Points on a line bent by 1e-9..1e-3: small cubes about the flat end
+        # hold enough points for a planar fit but are rank deficient.
+        x = np.linspace(0.0, 1.0, 48)
+        y = 10.0 ** np.linspace(-9.0, -3.0, 48) * (-1.0) ** np.arange(48)
+        cloud = make_cloud(np.column_stack([x, y]))
+        levels = np.arange(6)
+        grid = fs.ScaleGrid(
+            scales=cloud.diam * 2.0**-levels, levels=levels, diam=cloud.diam, factor=1.0
+        )
+        vals = np.sin(5.0 * x) + 1e3 * y
+        zero = fs.approx_error_matrix(cloud, np.zeros(48), 2, 2.0, grid)
+        for u in (1.0, 2.0, 3.0):
+            got = fs.approx_error_matrix(cloud, vals, 2, u, grid)
+            want = reference_matrix.approx_error_matrix(cloud, vals, 2, u, grid)
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            # Rank-deficient cubes: NaN for this function, 0 for the zero one.
+            assert (np.isnan(want) & (zero == 0.0)).any()
+            ok = ~np.isnan(want)
+            np.testing.assert_allclose(got[ok], want[ok], rtol=1e-6, atol=1e-11)
+
+    def test_batch_layout(self, dust3):
+        grid = fs.ScaleGrid.dyadic(dust3)
+        vals = np.stack([rough_sample(dust3, seed) for seed in (1, 2, 3)])
+        out = fs.error_matrices(dust3, vals, 2, 2.0, grid)
+        assert out.shape == (3, dust3.size, len(grid))
+        np.testing.assert_allclose(
+            out[1], fs.approx_error_matrix(dust3, vals[1], 2, 2.0, grid), rtol=1e-12
+        )
+
+    def test_zero_space_rejected(self, dust3):
+        with pytest.raises(fs.OutOfRange):
+            fs.error_matrices(
+                dust3, np.ones((1, 64)), 0, 2.0, fs.ScaleGrid.dyadic(dust3)
+            )

@@ -129,6 +129,31 @@ class TestSingleChecks:
         again = cache.matrix(dust3, gf, 1, 2.0)
         assert first is again
 
+    def test_matrix_cache_does_not_alias_dropped_clouds(self):
+        cache = fs.MatrixCache()
+        for depth in (3, 2, 4, 3, 2, 2, 3):
+            cloud = fs.build_cloud(fs.generator_spec("cantor4"), depth)
+            gf = fs.sample(fs.battery(cloud)[10], cloud)
+            matrix = cache.matrix(cloud, gf, 1, 2.0)
+            assert matrix.shape == (cloud.size, len(fs.ScaleGrid.dyadic(cloud)))
+            del cloud, gf
+
+    def test_batched_matrices_match_single_calls(self, dust3):
+        cache = fs.MatrixCache()
+        funcs = [fs.sample(tf, dust3) for tf in fs.battery(dust3)[::2]]
+        grid = cache.grid(dust3)
+        for k, u in ((1, 1.0), (1, 2.0), (2, 2.0), (1, 4.0), (2, 3.0)):
+            for gf, batched in zip(funcs, cache.matrices(dust3, funcs, k, u)):
+                single = fs.approx_error_matrix(dust3, gf, k, u, grid)
+                np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0.0)
+
+    def test_poincare_without_functions_evaluates_nothing(self, dust3):
+        out = fs.check_poincare(
+            dust3, [], fs.MatrixCache(), np.random.default_rng(0),
+            samples=5, alpha=0.5, q=2.0,
+        )
+        assert out == (0.0, [], 0)
+
 
 class TestRunAll:
     def test_small_run_passes_and_is_deterministic(self):
@@ -144,6 +169,14 @@ class TestRunAll:
             assert a.check_name == b.check_name
             assert a.worst_constant == b.worst_constant
             assert a.witnesses == b.witnesses
+
+    @pytest.mark.parametrize("field", ["check_functions", "sharp_functions"])
+    def test_unknown_function_names_rejected(self, field):
+        cfg = fs.RunConfig.from_dict(
+            dict(SMALL_CONFIG, **{field: ["cusp_beta090", "nope", "cusp_beta03"]})
+        )
+        with pytest.raises(fs.OutOfRange, match=r"\['cusp_beta03', 'nope'\]"):
+            fs.run_all(cfg)
 
     def test_no_generators_gives_no_results(self):
         assert fs.run_all(fs.RunConfig(generators=())) == []
