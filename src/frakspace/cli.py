@@ -1,8 +1,10 @@
 """Command line front end: build clouds, tabulate norms, run verification.
 
-Exit codes: 0 on success (and every check passing), 1 when a verification
-check fails its budget, 2 on usage or configuration errors. All floating
-output is repr-formatted, so identical runs produce identical bytes.
+Exit codes: 0 on success, 1 when an evaluated verification check fails its
+budget, 2 on usage or configuration errors. A check that evaluated nothing
+prints ``<check>: NOT EVALUATED (<reason>)``, writes no witness rows and does
+not change the exit code. All floating output is repr-formatted, so
+identical runs produce identical bytes.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from .functions import battery, sample
 from .maximal import ScaleGrid
 from .measure import DEFAULT_POINT_BUDGET, build_cloud, generator_spec
 from .norms import besov_norm, calderon_norm
-from .verify import RunConfig, check_ahlfors, run_all
+from .verify import DIRECT_CHECKS, RunConfig, check_ahlfors, run_all
 
 HEADER = "# frakspace v1"
 
@@ -135,15 +137,18 @@ def _cmd_verify(args) -> int:
 
     lines = []
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(
-            f"{r.check_name}: worst_constant={r.worst_constant!r} "
-            f"budget={r.budget!r} {status}"
-        )
+        if r.evaluated:
+            status = "PASS" if r.passed else "FAIL"
+            line = f"worst_constant={r.worst_constant!r} budget={r.budget!r} {status}"
+        elif r.check_name in DIRECT_CHECKS:
+            line = "NOT EVALUATED (nothing evaluated)"
+        else:
+            line = "NOT EVALUATED (no generator with two evaluated depths)"
+        lines.append(f"{r.check_name}: {line}")
     verdict = "\n".join(lines) + ("\n" if lines else "")
     (outdir / "verdict.txt").write_text(verdict, encoding="utf-8")
     sys.stdout.write(verdict)
-    return 0 if all(r.passed for r in results) else 1
+    return 1 if any(r.evaluated and not r.passed for r in results) else 0
 
 
 def _write_csv(path: Path, columns, rows) -> None:

@@ -387,6 +387,12 @@ def _clamp(value, scale, mass, u):
     return np.where(value <= CLAMP_REL * scale * mass ** (1.0 / u), 0.0, value)
 
 
+def _sharp_from_matrix(matrix: np.ndarray, scales: np.ndarray, alpha: float) -> np.ndarray:
+    """Per-point max over scales of t**-alpha times the local error, NaN cells skipped."""
+    with np.errstate(invalid="ignore"):
+        return np.nanmax(matrix * scales**-alpha, axis=1)
+
+
 def sharp_maximal(
     cloud: WeightedPointCloud,
     f,
@@ -403,8 +409,7 @@ def sharp_maximal(
     if len(grid) == 0:
         raise EmptyGrid("scale grid holds no scales")
     matrix = approx_error_matrix(cloud, f, k, u, grid, min_points_factor)
-    weighted = matrix * grid.scales**-alpha
-    vals = np.nanmax(weighted, axis=1)
+    vals = _sharp_from_matrix(matrix, grid.scales, alpha)
     skipped = int(np.isnan(matrix).sum())
     name = getattr(f, "name", "")
     return GridFunction(

@@ -18,6 +18,7 @@ from .maximal import (
     ScaleGrid,
     approx_error_matrix,
     degree_for_flat,
+    _sharp_from_matrix,
     _variant_degree,
 )
 from .measure import WeightedPointCloud
@@ -115,7 +116,7 @@ def calderon_norm(
         grid = ScaleGrid.dyadic(cloud)
     k = _variant_degree(alpha, variant)
     matrix = approx_error_matrix(cloud, f, k, u, grid)
-    sharp_vals = np.nanmax(matrix * grid.scales**-alpha, axis=1)
+    sharp_vals = _sharp_from_matrix(matrix, grid.scales, alpha)
     lp = lp_norm(cloud, f, p)
     sharp_lp = lp_norm(cloud, sharp_vals, p)
     return NormReport(

@@ -1,12 +1,22 @@
 """Internal-consistency checks with estimated constants and budgets.
 
-Every check reduces to a worst observed constant compared against a budget.
-Two kinds of budgets appear: tight ones for inequalities that hold exactly
-by construction (nestedness, pointwise orderings, per-scale domination),
-and a factor-2 stability budget for genuinely estimated equivalence
-constants, which must not drift under depth refinement of the same
-generator. Cube batteries are drawn with common random numbers per
-generator so that constants at different depths are comparable.
+A direct check compares its worst observed constant with a tight budget, for
+inequalities that hold exactly by construction (nestedness, pointwise
+orderings, per-scale domination). A stability check tracks a genuinely
+estimated constant per generator and depth, and compares its worst drift
+between consecutive depths with a factor-2 budget. Cube batteries are drawn
+with common random numbers per generator, so constants at different depths
+are comparable.
+
+``run_all`` works cloud by cloud. ``_needs`` lists the error matrices the
+checks read; they are united by (k, u) and fetched with one kernel call per
+(k, u), so the checks only hit the cache. ``_observe`` then calls each
+``check_*`` and yields observations (check, label, value, witnesses,
+evaluated); ``label`` is None for a direct check and names the constant
+family of a stability check. One reduction follows: the worst value of each
+direct check, ``_stability`` for each stability check. An observation that
+evaluated nothing takes no part in a verdict; a check left with none is NOT
+EVALUATED (``evaluated == 0``).
 """
 from __future__ import annotations
 
@@ -21,6 +31,7 @@ from .geometry import Cube, restrict
 # approx_error_matrix stays importable here: bench/layers.py wraps it by name.
 from .maximal import (  # noqa: F401
     ScaleGrid,
+    _sharp_from_matrix,
     approx_error_matrix,
     degree_for_flat,
     degree_for_sharp,
@@ -33,7 +44,13 @@ from .measure import (
     generator_spec,
 )
 from .norms import _column_lp, lp_norm
-from .polyapprox import Polynomial, best_approx, multi_indices, reverse_holder_ratio
+from .polyapprox import (
+    Polynomial,
+    _weighted_norm,
+    best_approx,
+    multi_indices,
+    reverse_holder_ratio,
+)
 
 __all__ = [
     "Witness",
@@ -41,6 +58,7 @@ __all__ = [
     "RunConfig",
     "MatrixCache",
     "DEFAULT_BUDGETS",
+    "DIRECT_CHECKS",
     "poincare_sigma",
     "sobolev_exponent",
     "check_monotonicity",
@@ -65,6 +83,11 @@ DEFAULT_BUDGETS = {
     "sharp_equivalence_right_stability": 2.0,
     "sobolev_stability": 2.0,
 }
+# Checks judged by their worst value; every other check is judged by the
+# drift of its constants between consecutive depths of one generator.
+DIRECT_CHECKS = frozenset(
+    {"ahlfors_ratio", "embedding_perscale", "monotonicity", "sharp_equivalence_left"}
+)
 
 # Tags mixed into per-check random seeds so draws are independent between
 # checks yet identical across depths of one generator.
@@ -84,13 +107,19 @@ class Witness:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Aggregated outcome of one named check."""
+    """Aggregated outcome of one named check.
+
+    ``evaluated`` counts the items the verdict rests on: cube pairs, cubes,
+    functions, clouds or, for a stability check, depth pairs. A check with
+    ``evaluated == 0`` was NOT EVALUATED; its worst constant is NaN.
+    """
 
     check_name: str
     worst_constant: float
     budget: float
     witnesses: tuple[Witness, ...] = ()
     metadata: dict = field(default_factory=dict, compare=False)
+    evaluated: int = 0
 
     @property
     def passed(self) -> bool:
@@ -153,12 +182,11 @@ class MatrixCache:
         self, cloud: WeightedPointCloud, funcs, alpha: float, u: float, k: int
     ) -> list:
         """Pointwise sharp maximal values of each function, from cached matrices."""
-        weights = self.grid(cloud).scales**-alpha
-        with np.errstate(invalid="ignore"):
-            return [
-                np.nanmax(matrix * weights, axis=1)
-                for matrix in self.matrices(cloud, funcs, k, u)
-            ]
+        scales = self.grid(cloud).scales
+        return [
+            _sharp_from_matrix(matrix, scales, alpha)
+            for matrix in self.matrices(cloud, funcs, k, u)
+        ]
 
 
 @dataclass(frozen=True)
@@ -262,21 +290,13 @@ def _radius_window(cloud: WeightedPointCloud, factor: float) -> tuple[float, flo
     return lo, hi
 
 
-def _snap_centers(cloud: WeightedPointCloud, fracs: np.ndarray) -> np.ndarray:
-    """Map unit-box fractions to the nearest actual cloud points."""
-    lo, hi = cloud.bbox
-    targets = lo + fracs * (hi - lo)
+def _random_cubes(cloud: WeightedPointCloud, rng, count: int, lo: float, hi: float):
+    """Centres snapped to the cloud, then half-sides log-uniform in [lo, hi]."""
+    box_lo, box_hi = cloud.bbox
+    targets = box_lo + rng.random((count, cloud.ambient_dim)) * (box_hi - box_lo)
     d2 = ((targets[:, None, :] - cloud.points[None, :, :]) ** 2).sum(axis=2)
-    return cloud.points[np.argmin(d2, axis=1)]
-
-
-def _log_interp(lo: float, hi: float, frac: np.ndarray) -> np.ndarray:
-    return np.exp(np.log(lo) + frac * (np.log(hi) - np.log(lo)))
-
-
-def _residual_norm(fv, w, poly, pts, u):
-    r = fv - poly(pts)
-    return float(np.sum(w * np.abs(r) ** u) ** (1.0 / u))
+    radii = np.exp(np.log(lo) + rng.random(count) * (np.log(hi) - np.log(lo)))
+    return cloud.points[np.argmin(d2, axis=1)], radii
 
 
 def check_monotonicity(
@@ -296,18 +316,11 @@ def check_monotonicity(
     which is only controlled by the doubling behaviour of the measure and
     is tracked for depth stability rather than against a tight budget.
     """
-    if window is None:
-        window = _radius_window(cloud, 4.0)
-    lo, hi = window
-    n = cloud.ambient_dim
+    lo, hi = window or _radius_window(cloud, 4.0)
     draws = 3 * pairs
-    center_fracs = rng.random((draws, n))
-    inner_fracs = rng.random(draws)
+    centers, inner_r = _random_cubes(cloud, rng, draws, lo, max(hi / 2.2, lo * 1.01))
     expand_fracs = rng.random(draws)
-    offset_fracs = rng.random((draws, n))
-    centers = _snap_centers(cloud, center_fracs)
-    inner_hi = max(hi / 2.2, lo * 1.01)
-    inner_r = _log_interp(lo, inner_hi, inner_fracs)
+    offset_fracs = rng.random((draws, cloud.ambient_dim))
     outer_r = inner_r * (1.5 + 0.7 * expand_fracs)
 
     worst, regularity = 0.0, 0.0
@@ -329,11 +342,9 @@ def check_monotonicity(
         except (TooFewPoints, RankDeficient):
             continue
         idx_in, mass_in = restrict(cloud, inner)
-        candidate = _residual_norm(
-            gf.values[idx_in],
+        candidate = _weighted_norm(
+            gf.values[idx_in] - res_out.minimizer(cloud.points[idx_in]),
             cloud.weights[idx_in],
-            res_out.minimizer,
-            cloud.points[idx_in],
             u,
         )
         value_in = min(res_in.value, candidate)
@@ -382,15 +393,11 @@ def check_poincare(
     """
     if not funcs:
         return 0.0, [], 0
-    if window is None:
-        window = _radius_window(cloud, 4.0)
-    lo, hi = window
     sigma = poincare_sigma(q, alpha, cloud.s)
     k = degree_for_sharp(alpha)
-    center_fracs = rng.random((3 * samples, cloud.ambient_dim))
-    radius_fracs = rng.random(3 * samples)
-    centers = _snap_centers(cloud, center_fracs)
-    radii = _log_interp(lo, hi, radius_fracs)
+    centers, radii = _random_cubes(
+        cloud, rng, 3 * samples, *(window or _radius_window(cloud, 4.0))
+    )
 
     worst = 0.0
     witnesses: list[Witness] = []
@@ -513,9 +520,7 @@ def check_embedding_chain(
             weighted_cols = _column_lp(matrix, cloud.weights, p) * (
                 grid.scales**-alpha
             )
-            with np.errstate(invalid="ignore"):
-                sharp_vals = np.nanmax(matrix * grid.scales**-alpha, axis=1)
-            sharp_lp = lp_norm(cloud, sharp_vals, p)
+            sharp_lp = lp_norm(cloud, _sharp_from_matrix(matrix, grid.scales, alpha), p)
             finite = weighted_cols[~np.isnan(weighted_cols)]
             if sharp_lp == 0.0:
                 worst_col = 1.0 if np.all(finite == 0.0) else math.inf
@@ -595,16 +600,12 @@ def check_reverse_holder(
     generator: str = "?",
 ):
     """Worst average-L^q over average-L^u ratio of random polynomials."""
-    if window is None:
-        window = _radius_window(cloud, 4.0)
-    lo, hi = window
     n = cloud.ambient_dim
     exps = np.asarray(multi_indices(n, degree), dtype=int)
-    center_fracs = rng.random((trials, n))
-    radius_fracs = rng.random(trials)
+    centers, radii = _random_cubes(
+        cloud, rng, trials, *(window or _radius_window(cloud, 4.0))
+    )
     coeffs = rng.standard_normal((trials, exps.shape[0]))
-    centers = _snap_centers(cloud, center_fracs)
-    radii = _log_interp(lo, hi, radius_fracs)
 
     worst = 0.0
     witnesses: list[Witness] = []
@@ -651,34 +652,148 @@ def check_ahlfors(
     return report, witness
 
 
-def _stability(per_gen: dict) -> tuple[float, list[Witness], dict]:
-    """Worst consecutive-depth drift of a per-generator constant family."""
+def _stability(families: dict) -> tuple[float, list[Witness], dict, int]:
+    """Worst consecutive-depth drift over the constant families of one check.
+
+    ``families`` maps a label to ``{generator: {depth: constant}}``; only
+    generators with two or more depths take part. Returns the worst drift
+    with its witness, each family's table of constants and the number of
+    depth pairs compared.
+    """
     worst = 1.0
     witnesses: list[Witness] = []
-    table: dict[str, dict[int, float]] = {}
-    for gen, by_depth in per_gen.items():
-        table[gen] = {d: c for d, c in sorted(by_depth.items())}
-        depths = sorted(by_depth)
-        for a, b in zip(depths, depths[1:]):
-            ca, cb = by_depth[a], by_depth[b]
-            if not (
-                math.isfinite(ca) and math.isfinite(cb) and ca > 0.0 and cb > 0.0
-            ):
-                ratio = math.inf
-            else:
-                ratio = max(ca / cb, cb / ca)
-            if ratio > worst:
-                worst = ratio
-                witnesses = [
-                    Witness(
-                        gen,
-                        b,
-                        "-",
-                        f"depths={a}->{b},c_lo={ca!r},c_hi={cb!r}",
-                        ratio,
-                    )
-                ]
-    return worst, witnesses, {"constants": table}
+    tables: dict[str, dict] = {}
+    compared = 0
+    for label, per_gen in families.items():
+        table = {
+            gen: dict(sorted(by_depth.items()))
+            for gen, by_depth in per_gen.items()
+            if len(by_depth) >= 2
+        }
+        if table:
+            tables[label] = table
+        for gen, by_depth in table.items():
+            depths = list(by_depth)
+            for a, b in zip(depths, depths[1:]):
+                ca, cb = by_depth[a], by_depth[b]
+                compared += 1
+                if not (
+                    math.isfinite(ca) and math.isfinite(cb) and ca > 0.0 and cb > 0.0
+                ):
+                    ratio = math.inf
+                else:
+                    ratio = max(ca / cb, cb / ca)
+                if ratio > worst:
+                    params = f"depths={a}->{b},c_lo={ca!r},c_hi={cb!r}"
+                    worst, witnesses = ratio, [Witness(gen, b, label, params, ratio)]
+    return worst, witnesses, tables, compared
+
+
+def _needs(config: RunConfig, cloud: WeightedPointCloud, check_funcs, sharp_funcs):
+    """Every (functions, k, u) whose error matrices the checks read on a cloud."""
+    needs = [(check_funcs, degree_for_sharp(config.poincare_alpha), 1.0)]
+    k = degree_for_sharp(config.sharp_alpha)
+    needs += [(sharp_funcs, k, u) for u in config.sharp_exponents]
+    needs += [
+        (check_funcs, degree_for_flat(alpha), config.embedding_p)
+        for alpha in config.embedding_alphas
+    ]
+    if config.sobolev_k * config.sobolev_p < cloud.s:
+        needs.append((check_funcs, config.sobolev_k, 1.0))
+    return needs
+
+
+def _observe(config, cache, gen_index, name, cloud, window, quota, funcs, checked, sharp):
+    """Run every check on one cloud, one observation per outcome.
+
+    Yields ``(check, label, value, witnesses, evaluated)``: ``label`` is None
+    for a direct check and names the constant family of a stability check;
+    ``evaluated`` counts the items behind ``value``. ``funcs`` is the whole
+    battery, ``checked`` and ``sharp`` the configured subsets of it.
+    """
+    worst, reg, wits, n = check_monotonicity(
+        cloud,
+        funcs,
+        _check_rng(config.seed, _TAG_MONO, gen_index),
+        quota,
+        window,
+        config.mono_degrees,
+        config.mono_exponents,
+        generator=name,
+    )
+    yield "monotonicity", None, worst, wits, n
+    yield "monotonicity_regularity", "regularity", reg, [], n
+
+    worst, wits, n = check_poincare(
+        cloud,
+        checked,
+        cache,
+        _check_rng(config.seed, _TAG_POINCARE, gen_index),
+        config.poincare_samples,
+        config.poincare_alpha,
+        config.poincare_q,
+        window,
+        generator=name,
+    )
+    yield "poincare_stability", "poincare", worst, wits, n
+
+    left, right, wits = check_sharp_equivalence(
+        cloud,
+        sharp,
+        cache,
+        config.sharp_alpha,
+        config.sharp_exponents,
+        config.sharp_norm_p,
+        generator=name,
+    )
+    n = len(sharp) * max(len(config.sharp_exponents) - 1, 0)
+    yield "sharp_equivalence_left", None, left, wits, n
+    yield "sharp_equivalence_right_stability", "right", right, [], n
+
+    perscale, r1, r2, wits = check_embedding_chain(
+        cloud,
+        checked,
+        cache,
+        config.embedding_alphas,
+        config.embedding_p,
+        generator=name,
+    )
+    n = len(checked) * len(config.embedding_alphas)
+    yield "embedding_perscale", None, perscale, wits, n
+    yield "embedding_stability", "R1", r1, [], n
+    yield "embedding_stability", "R2", r2, [], n
+
+    sob = check_sobolev_embedding(
+        cloud,
+        checked,
+        cache,
+        config.sobolev_k,
+        config.sobolev_p,
+        generator=name,
+    )
+    if sob is not None:
+        yield "sobolev_stability", "sobolev", sob[0], sob[1], len(checked)
+
+    worst, wits = check_reverse_holder(
+        cloud,
+        _check_rng(config.seed, _TAG_REVHOLDER, gen_index),
+        config.revholder_degree,
+        config.revholder_pairs,
+        config.revholder_trials,
+        window,
+        generator=name,
+    )
+    n = config.revholder_trials * len(config.revholder_pairs)
+    yield "reverse_holder_stability", "reverse_holder", worst, wits, n
+
+    report, wit = check_ahlfors(
+        cloud,
+        config.ahlfors_samples,
+        config.ahlfors_scales,
+        config.seed + _TAG_AHLFORS + gen_index,
+        generator=name,
+    )
+    yield "ahlfors_ratio", None, report.ratio, [wit], 1
 
 
 def run_all(config: RunConfig) -> list[CheckResult]:
@@ -703,181 +818,52 @@ def run_all(config: RunConfig) -> list[CheckResult]:
     if unknown:
         raise OutOfRange(f"unknown function names in {'; '.join(unknown)}")
 
-    nclouds = len(clouds)
-    mono_quota = max(1, -(-config.mono_pairs // nclouds))
+    quota = max(1, -(-config.mono_pairs // len(clouds)))
+    # Cube radii of every depth of a generator come from its coarsest cloud.
     windows: dict[int, tuple[float, float]] = {}
-    for gen_index, name, cloud in clouds:
-        if gen_index not in windows:
-            windows[gen_index] = _radius_window(cloud, config.scale_factor)
-
     cache = MatrixCache(factor=config.scale_factor)
-    mono_worst, mono_evaluated = 0.0, 0
-    mono_wits: list[Witness] = []
-    reg_per_gen: dict[str, dict[int, float]] = {}
-    poin_per_gen: dict[str, dict[int, float]] = {}
-    right_per_gen: dict[str, dict[int, float]] = {}
-    embed_r1_per_gen: dict[str, dict[int, float]] = {}
-    embed_r2_per_gen: dict[str, dict[int, float]] = {}
-    sobolev_per_gen: dict[str, dict[int, float]] = {}
-    rev_per_gen: dict[str, dict[int, float]] = {}
-    left_worst = 0.0
-    left_wits: list[Witness] = []
-    perscale_worst = 0.0
-    perscale_wits: list[Witness] = []
-    ahlfors_worst = 0.0
-    ahlfors_wits: list[Witness] = []
-
+    # check -> (worst value, its witnesses, items evaluated)
+    direct: dict[str, tuple[float, list[Witness], int]] = {}
+    # check -> label -> generator -> depth -> constant
+    constants: dict[str, dict[str, dict[str, dict[int, float]]]] = {}
     for gen_index, name, cloud in clouds:
-        window = windows[gen_index]
-        funcs_by_name = {
-            tf.name: sample(tf, cloud) for tf in battery(cloud, seed=config.seed)
-        }
-        all_funcs = list(funcs_by_name.values())
-        check_funcs = [funcs_by_name[n] for n in config.check_functions]
-        sharp_funcs = [funcs_by_name[n] for n in config.sharp_functions]
-
-        worst, reg, wits, evaluated = check_monotonicity(
-            cloud,
-            all_funcs,
-            _check_rng(config.seed, _TAG_MONO, gen_index),
-            mono_quota,
-            window,
-            config.mono_degrees,
-            config.mono_exponents,
-            generator=name,
+        window = windows.setdefault(
+            gen_index, _radius_window(cloud, config.scale_factor)
         )
-        mono_evaluated += evaluated
-        if worst > mono_worst:
-            mono_worst, mono_wits = worst, wits
-        reg_per_gen.setdefault(name, {})[cloud.depth] = reg
+        by_name = {tf.name: sample(tf, cloud) for tf in battery(cloud, seed=config.seed)}
+        checked = [by_name[n] for n in config.check_functions]
+        sharp = [by_name[n] for n in config.sharp_functions]
+        by_ku: dict[tuple[int, float], dict] = {}
+        for funcs, k, u in _needs(config, cloud, checked, sharp):
+            by_ku.setdefault((int(k), float(u)), {}).update((id(gf), gf) for gf in funcs)
+        for (k, u), group in by_ku.items():
+            cache.matrices(cloud, list(group.values()), k, u)
 
-        worst, wits, _ = check_poincare(
-            cloud,
-            check_funcs,
-            cache,
-            _check_rng(config.seed, _TAG_POINCARE, gen_index),
-            config.poincare_samples,
-            config.poincare_alpha,
-            config.poincare_q,
-            window,
-            generator=name,
-        )
-        poin_per_gen.setdefault(name, {})[cloud.depth] = worst
-
-        left, right, wits = check_sharp_equivalence(
-            cloud,
-            sharp_funcs,
-            cache,
-            config.sharp_alpha,
-            config.sharp_exponents,
-            config.sharp_norm_p,
-            generator=name,
-        )
-        if left > left_worst:
-            left_worst, left_wits = left, wits
-        right_per_gen.setdefault(name, {})[cloud.depth] = right
-
-        perscale, r1, r2, wits = check_embedding_chain(
-            cloud,
-            check_funcs,
-            cache,
-            config.embedding_alphas,
-            config.embedding_p,
-            generator=name,
-        )
-        if perscale > perscale_worst:
-            perscale_worst, perscale_wits = perscale, wits
-        embed_r1_per_gen.setdefault(name, {})[cloud.depth] = r1
-        embed_r2_per_gen.setdefault(name, {})[cloud.depth] = r2
-
-        sob = check_sobolev_embedding(
-            cloud,
-            check_funcs,
-            cache,
-            config.sobolev_k,
-            config.sobolev_p,
-            generator=name,
-        )
-        if sob is not None:
-            sobolev_per_gen.setdefault(name, {})[cloud.depth] = sob[0]
-
-        worst, wits = check_reverse_holder(
-            cloud,
-            _check_rng(config.seed, _TAG_REVHOLDER, gen_index),
-            config.revholder_degree,
-            config.revholder_pairs,
-            config.revholder_trials,
-            window,
-            generator=name,
-        )
-        rev_per_gen.setdefault(name, {})[cloud.depth] = worst
-
-        report, wit = check_ahlfors(
-            cloud,
-            config.ahlfors_samples,
-            config.ahlfors_scales,
-            config.seed + _TAG_AHLFORS + gen_index,
-            generator=name,
-        )
-        if report.ratio > ahlfors_worst:
-            ahlfors_worst, ahlfors_wits = report.ratio, [wit]
-
-    results = [
-        CheckResult(
-            "ahlfors_ratio",
-            ahlfors_worst,
-            budgets["ahlfors_ratio"],
-            tuple(ahlfors_wits),
-        ),
-        CheckResult(
-            "embedding_perscale",
-            perscale_worst,
-            budgets["embedding_perscale"],
-            tuple(perscale_wits),
-        ),
-        CheckResult(
-            "monotonicity",
-            mono_worst,
-            budgets["monotonicity"],
-            tuple(mono_wits),
-            {"pairs": mono_evaluated},
-        ),
-        CheckResult(
-            "sharp_equivalence_left",
-            left_worst,
-            budgets["sharp_equivalence_left"],
-            tuple(left_wits),
-        ),
-    ]
-    stability_families = [
-        ("embedding_stability", (("R1", embed_r1_per_gen), ("R2", embed_r2_per_gen))),
-        ("monotonicity_regularity", (("regularity", reg_per_gen),)),
-        ("poincare_stability", (("poincare", poin_per_gen),)),
-        ("reverse_holder_stability", (("reverse_holder", rev_per_gen),)),
-        ("sharp_equivalence_right_stability", (("right", right_per_gen),)),
-        ("sobolev_stability", (("sobolev", sobolev_per_gen),)),
-    ]
-    for check_name, families in stability_families:
-        worst = -math.inf
-        wits: list[Witness] = []
-        meta: dict = {}
-        found = False
-        for label, per_gen in families:
-            multi = {g: d for g, d in per_gen.items() if len(d) >= 2}
-            if not multi:
+        funcs = list(by_name.values())
+        for check, label, value, wits, evaluated in _observe(
+            config, cache, gen_index, name, cloud, window, quota, funcs, checked, sharp
+        ):
+            if not evaluated:
                 continue
-            found = True
-            fam_worst, fam_wits, fam_meta = _stability(multi)
-            meta[label] = fam_meta["constants"]
-            if fam_worst > worst:
-                worst = fam_worst
-                wits = [
-                    Witness(w.generator, w.depth, label, w.params, w.value)
-                    for w in fam_wits
-                ]
-        if not found:
-            continue
+            if label is None:
+                worst, worst_wits, total = direct.get(check, (value, wits, 0))
+                if value > worst:
+                    worst, worst_wits = value, wits
+                direct[check] = (worst, worst_wits, total + evaluated)
+            else:
+                families = constants.setdefault(check, {})
+                families.setdefault(label, {}).setdefault(name, {})[cloud.depth] = value
+
+    results = []
+    for check in sorted(DEFAULT_BUDGETS):
+        if check in DIRECT_CHECKS:
+            worst, wits, evaluated = direct.get(check, (math.nan, [], 0))
+            meta = {"pairs": evaluated} if check == "monotonicity" else {}
+        else:
+            worst, wits, meta, evaluated = _stability(constants.get(check, {}))
+        if not evaluated:
+            worst = math.nan
         results.append(
-            CheckResult(check_name, worst, budgets[check_name], tuple(wits), meta)
+            CheckResult(check, worst, budgets[check], tuple(wits), meta, evaluated)
         )
-    return sorted(results, key=lambda r: r.check_name)
+    return results

@@ -129,6 +129,36 @@ class TestVerify:
         assert lines[0] == "# frakspace v1"
         assert len(lines) == 2  # marker + column header only
 
+    def test_single_depth_stability_checks_not_evaluated(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, {"generators": [["interval", [6]], ["cantor4", [3]]]}
+        )
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "verdict.txt").read_text().splitlines()
+        passed = [line for line in lines if line.endswith(" PASS")]
+        skipped = [
+            line
+            for line in lines
+            if line.endswith(": NOT EVALUATED (no generator with two evaluated depths)")
+        ]
+        assert len(lines) == 10 and len(passed) == 4 and len(skipped) == 6
+        assert "sobolev_stability: NOT EVALUATED" in capsys.readouterr().out
+        rows = list(csv.DictReader((tmp_path / "verify.csv").read_text().splitlines()[1:]))
+        assert {r["check"] for r in rows} == {line.split(":")[0] for line in passed}
+
+    def test_empty_sharp_function_list_not_evaluated(self, tmp_path):
+        cfg = write_config(tmp_path, dict(SMALL_VERIFY, sharp_functions=[]))
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "verdict.txt").read_text().splitlines()
+        assert "sharp_equivalence_left: NOT EVALUATED (nothing evaluated)" in lines
+        assert (
+            "sharp_equivalence_right_stability: NOT EVALUATED "
+            "(no generator with two evaluated depths)"
+        ) in lines
+        assert sum(line.endswith(" PASS") for line in lines) == 8
+        text = (tmp_path / "verify.csv").read_text()
+        assert "sharp_equivalence" not in text
+
     def test_bad_config_key_fails_cleanly(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"mono_paris": 3})
         assert main(["verify", "--config", cfg]) == 2

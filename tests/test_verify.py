@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import frakspace as fs
+from frakspace import verify
 
 
 SMALL_CONFIG = {
@@ -12,6 +13,21 @@ SMALL_CONFIG = {
     "ahlfors_samples": 16,
     "sharp_functions": ["cusp_beta090"],
     "check_functions": ["linear_axis", "cusp_beta090"],
+}
+
+# run_all(SMALL_CONFIG) as computed by the run_all that kept one dict per
+# check: worst constant and the (generator, depth, function) of its witness.
+SMALL_RUN_FROZEN = {
+    "ahlfors_ratio": (3.3580602112821993, ("cantor4", 2, "-")),
+    "embedding_perscale": (1.0, ("cantor4", 2, "linear_axis")),
+    "embedding_stability": (1.0186308332364404, ("interval", 6, "R1")),
+    "monotonicity": (1.0, ("cantor4", 2, "const_one")),
+    "monotonicity_regularity": (1.039757798806063, ("interval", 6, "regularity")),
+    "poincare_stability": (1.1064958814084491, ("cantor4", 3, "poincare")),
+    "reverse_holder_stability": (1.0164415572145618, ("cantor4", 3, "reverse_holder")),
+    "sharp_equivalence_left": (0.9155785362841056, ("cantor4", 3, "cusp_beta090")),
+    "sharp_equivalence_right_stability": (1.0328447823882358, ("cantor4", 3, "right")),
+    "sobolev_stability": (1.3242452431548961, ("cantor4", 3, "sobolev")),
 }
 
 
@@ -177,6 +193,46 @@ class TestRunAll:
         )
         with pytest.raises(fs.OutOfRange, match=r"\['cusp_beta03', 'nope'\]"):
             fs.run_all(cfg)
+
+    def test_small_run_values_pinned(self):
+        results = fs.run_all(fs.RunConfig.from_dict(SMALL_CONFIG))
+        assert [r.check_name for r in results] == sorted(SMALL_RUN_FROZEN)
+        for res in results:
+            value, witness = SMALL_RUN_FROZEN[res.check_name]
+            # rtol 1e-12 leaves room for last-digit BLAS differences only.
+            assert res.worst_constant == pytest.approx(value, rel=1e-12, abs=0.0)
+            assert [
+                (res.check_name, w.generator, w.depth, w.function)
+                for w in res.witnesses
+            ] == [(res.check_name, *witness)]
+
+    def test_one_kernel_call_per_cloud_and_exponent(self, monkeypatch):
+        calls = []
+        kernel = verify.error_matrices
+
+        def counting(cloud, values, k, u, grid, *args, **kwargs):
+            calls.append((id(cloud), k, u))
+            return kernel(cloud, values, k, u, grid, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "error_matrices", counting)
+        fs.run_all(fs.RunConfig.from_dict(SMALL_CONFIG))
+        # 4 clouds x (k, u) in {(1, 1), (1, 2), (1, 4), (2, 2)}.
+        assert len(calls) == 16
+        assert len(set(calls)) == 16
+
+    def test_single_depth_leaves_stability_not_evaluated(self):
+        cfg = fs.RunConfig.from_dict(
+            dict(SMALL_CONFIG, generators=[["interval", [5]], ["cantor4", [2]]])
+        )
+        results = {r.check_name: r for r in fs.run_all(cfg)}
+        assert set(results) == set(fs.DEFAULT_BUDGETS)
+        for name, res in results.items():
+            if name in verify.DIRECT_CHECKS:
+                assert res.evaluated > 0 and res.passed, name
+            else:
+                assert res.evaluated == 0, name
+                assert np.isnan(res.worst_constant) and res.witnesses == ()
+                assert res.metadata == {}
 
     def test_no_generators_gives_no_results(self):
         assert fs.run_all(fs.RunConfig(generators=())) == []
