@@ -48,6 +48,11 @@ def interval6():
 
 
 @pytest.fixture(scope="session")
+def cantor4_d4():
+    return fs.build_cloud(fs.generator_spec("cantor4"), 4)
+
+
+@pytest.fixture(scope="session")
 def square3():
     return fs.build_cloud(fs.generator_spec("square"), 3)
 

@@ -97,7 +97,7 @@ class TestGridFunction:
 
 
 class TestAgainstBruteForce:
-    @pytest.mark.parametrize("u", [1.0, 2.0])
+    @pytest.mark.parametrize("u", [1.0, 2.0, 4.0])
     def test_sharp_matches_exhaustive_scan(self, dust3, interval6, u):
         for cloud in (dust3, interval6):
             vals = rough_sample(cloud)
@@ -107,6 +107,35 @@ class TestAgainstBruteForce:
                 cloud, vals, 0.5, u, grid.scales
             )
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-6
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["dust3", "cantor4_d4"])
+    def test_constant_fit_matrices_are_exact(self, request, name):
+        # All 16 battery functions, sigmoid_steep included: its cells with
+        # errors far below max|f| are where smoothed reweighting stalls.
+        cloud = request.getfixturevalue(name)
+        vals = np.stack([fs.sample(tf, cloud).values for tf in fs.battery(cloud)])
+        grid = fs.ScaleGrid.dyadic(cloud)
+        floor = 2.0 * fs.polyapprox.CLAMP_REL * np.abs(vals).max(axis=1)[:, None, None]
+        for u in (1.5, 3.0, 4.0):
+            got = fs.error_matrices(cloud, vals, 1, u, grid)
+            want = oracles.constant_fit_matrix(cloud, vals, u, grid.scales)
+            assert np.array_equal(np.isnan(got), np.isnan(want)), u
+            gap = np.abs(got - want) - 1e-9 * np.abs(want) - floor
+            assert np.nanmax(gap) <= 0.0, (u, float(np.nanmax(gap)))
+
+    def test_newton_step_cap_reports_an_upper_bound(self, dust3, monkeypatch):
+        # Pairs cut off by the step cap report the error at their current
+        # constant: never below the minimum, and a NaN only where it was.
+        monkeypatch.setattr(fs.maximal, "NEWTON_MAX_ITER", 1)
+        vals = rough_sample(dust3)[None]
+        grid = fs.ScaleGrid.dyadic(dust3)
+        got = fs.error_matrices(dust3, vals, 1, 3.0, grid)
+        want = oracles.constant_fit_matrix(dust3, vals, 3.0, grid.scales)
+        floor = 2.0 * fs.polyapprox.CLAMP_REL * np.max(np.abs(vals))
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.nanmin(got - want * (1.0 - 1e-12)) >= -floor
+        assert np.nanmax(got - want) > 1e-6 * np.nanmax(want)
 
     @pytest.mark.parametrize("sigma", [1.0, 2.0])
     def test_hl_matches_exhaustive_scan(self, dust3, interval6, sigma):
@@ -150,6 +179,17 @@ class TestSharpProperties:
             base = fs.sharp_maximal(dust3, vals, 0.5, u=u).values
             scaled = fs.sharp_maximal(dust3, lam * vals, 0.5, u=u).values
             assert np.allclose(scaled, abs(lam) * base, rtol=1e-12)
+
+    def test_constant_fits_scale_across_the_float_range(self, dust3):
+        # Fits are made in units of max|f|, so no power of a value under-
+        # or overflows near either end of the float range.
+        vals = rough_sample(dust3)
+        grid = fs.ScaleGrid.dyadic(dust3)
+        for u in (1.5, 3.0, 4.0):
+            base = fs.approx_error_matrix(dust3, vals, 1, u, grid)
+            for lam in (1e-200, 1e150):
+                got = fs.approx_error_matrix(dust3, lam * vals, 1, u, grid)
+                np.testing.assert_allclose(got / lam, base, rtol=1e-12)
 
     def test_pointwise_ordering_in_u(self, dust3):
         vals = rough_sample(dust3)
@@ -244,14 +284,15 @@ class TestKernelPinnedToCellLoop:
 
     NaN patterns must agree exactly. Values agree to rtol relative plus the
     zero clamp's floor: 1e-9 where the fit is closed-form (u = 2, and the
-    weighted median for k = 1, u = 1), 1e-6 where it is iterative.
+    weighted median for k = 1, u = 1), 1e-6 where the reference iterates.
+    At k = 1 with u not in {1, 2} the kernel is the exact side: it finds
+    the best constant to rounding (pinned to an oracle by
+    ``test_constant_fit_matrices_are_exact``), while the reference runs
+    smoothed reweighting, which on ``rough_sample`` stops within 1e-6 of
+    the minimum.
     """
 
     CLOUDS = ("dust3", "interval6", "cantor4_d4", "square3", "carpet2")
-
-    @pytest.fixture(scope="class")
-    def cantor4_d4(self):
-        return fs.build_cloud(fs.generator_spec("cantor4"), 4)
 
     @pytest.mark.parametrize("name", CLOUDS)
     def test_matches_reference(self, request, name):
