@@ -38,7 +38,13 @@ class Cube:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.max(np.abs(pts - self.center), axis=1) <= self.half_side
+        if pts.shape[1] != self.ambient_dim:
+            raise OutOfRange("point dimension mismatch")
+        # Axis by axis: numpy reduces a short trailing axis slowly.
+        dist = np.abs(pts[:, 0] - self.center[0])
+        for axis in range(1, self.ambient_dim):
+            np.maximum(dist, np.abs(pts[:, axis] - self.center[axis]), out=dist)
+        return dist <= self.half_side
 
     def scaled(self, factor: float) -> "Cube":
         """Concentric cube with half_side multiplied by ``factor``."""

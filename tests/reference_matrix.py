@@ -3,6 +3,11 @@
 Kept verbatim as the reference the kernel in ``frakspace.maximal`` is pinned
 to: one stable distance argsort per point, one fit per (point, scale) cell
 through ``fit_in_span`` (or the constant-fit shortcut for k = 1).
+
+``fit_in_span`` below is a verbatim copy of the package's per-cell fit from
+before it became the one-cell call of the batched kernel (lstsq start, then
+smoothed reweighting). The package's own ``fit_in_span`` now runs the code
+this module checks, so the reference keeps its own copy to stay independent.
 """
 import math
 
@@ -15,8 +20,9 @@ from frakspace.polyapprox import (
     DEFAULT_MAX_ITER,
     DEFAULT_RTOL,
     MIN_POINTS_FACTOR,
+    RANK_RTOL_SV,
+    _weighted_norm,
     basis_size,
-    fit_in_span,
     multi_indices,
 )
 
@@ -116,3 +122,88 @@ def _constant_fit_error(fv, w, mass, u):
     if value <= CLAMP_REL * scale * mass ** (1.0 / u):
         value = 0.0
     return value
+
+
+def fit_in_span(
+    V: np.ndarray,
+    w: np.ndarray,
+    f: np.ndarray,
+    u: float,
+    *,
+    max_iter: int = DEFAULT_MAX_ITER,
+    rtol: float = DEFAULT_RTOL,
+    delta_rel: float = DEFAULT_DELTA_REL,
+) -> tuple[np.ndarray, float, int, bool]:
+    """Minimize (sum_i w_i |f_i - (V c)_i|^u)^(1/u) over coefficients c.
+
+    u = 2 is solved directly; other u by iteratively reweighted least
+    squares warm-started from the u = 2 solution, with residual smoothing
+    delta = delta_rel * max|f|. Returns (c, value, iterations, converged);
+    the reported value is the true objective at the best iterate seen.
+    """
+    m, d = V.shape
+    if d == 0:
+        value = _weighted_norm(f, w, u)
+        return np.zeros(0), value, 0, True
+    scale = float(np.max(np.abs(f))) if m else 0.0
+    mass = float(w.sum())
+    if scale == 0.0:
+        return np.zeros(d), 0.0, 0, True
+
+    if d == 1 and np.all(V[:, 0] == 1.0):
+        if u == 1.0:
+            # Weighted median: the exact minimizer of sum w|f - c|.
+            order = np.argsort(f, kind="stable")
+            cum = np.cumsum(w[order])
+            c = float(f[order][np.searchsorted(cum, 0.5 * mass)])
+            value = float(np.sum(w * np.abs(f - c)))
+            if value <= CLAMP_REL * scale * mass:
+                value = 0.0
+            return np.array([c]), value, 0, True
+        coef = np.array([float(np.sum(w * f) / mass)])
+        resid = f - coef[0]
+    else:
+        sw = np.sqrt(w)
+        coef, _, rank, sv = np.linalg.lstsq(V * sw[:, None], sw * f, rcond=None)
+        if rank < d or (sv.size and sv[-1] <= sv[0] * RANK_RTOL_SV):
+            raise RankDeficient(
+                f"local Gram matrix is rank deficient ({rank} of {d} columns usable)"
+            )
+        resid = f - V @ coef
+
+    if u == 2.0:
+        value = float(np.sqrt(np.sum(w * resid * resid)))
+        iters, converged = 0, True
+    else:
+        delta2 = (delta_rel * scale) ** 2
+        obj = float(np.sum(w * np.abs(resid) ** u) ** (1.0 / u))
+        best_obj, best_coef = obj, coef
+        iters, converged = 0, False
+        exponent = 0.5 * u - 1.0
+        # Plain reweighting oscillates for u > 2; relaxing the step by
+        # 1/(u - 1) restores monotone convergence to the minimizer.
+        damping = 1.0 / (u - 1.0) if u > 2.0 else 1.0
+        for _ in range(max_iter):
+            omega = w * (resid * resid + delta2) ** exponent
+            G = V.T @ (V * omega[:, None])
+            rhs = V.T @ (omega * f)
+            try:
+                step = np.linalg.solve(G, rhs)
+            except np.linalg.LinAlgError:
+                so = np.sqrt(omega)
+                step = np.linalg.lstsq(V * so[:, None], so * f, rcond=None)[0]
+            coef = coef + damping * (step - coef)
+            iters += 1
+            resid = f - V @ coef
+            new_obj = float(np.sum(w * np.abs(resid) ** u) ** (1.0 / u))
+            if new_obj < best_obj:
+                best_obj, best_coef = new_obj, coef
+            if abs(new_obj - obj) <= rtol * max(obj, delta_rel * scale):
+                converged = True
+                break
+            obj = new_obj
+        value, coef = best_obj, best_coef
+
+    if value <= CLAMP_REL * scale * mass ** (1.0 / u):
+        value = 0.0
+    return np.asarray(coef, dtype=float), value, iters, converged

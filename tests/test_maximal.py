@@ -127,7 +127,7 @@ class TestAgainstBruteForce:
     def test_newton_step_cap_reports_an_upper_bound(self, dust3, monkeypatch):
         # Pairs cut off by the step cap report the error at their current
         # constant: never below the minimum, and a NaN only where it was.
-        monkeypatch.setattr(fs.maximal, "NEWTON_MAX_ITER", 1)
+        monkeypatch.setattr(fs.polyapprox, "NEWTON_MAX_ITER", 1)
         vals = rough_sample(dust3)[None]
         grid = fs.ScaleGrid.dyadic(dust3)
         got = fs.error_matrices(dust3, vals, 1, 3.0, grid)

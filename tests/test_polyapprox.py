@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import frakspace as fs
+import oracles
 
 
 def full_cube(cloud):
@@ -169,6 +170,45 @@ class TestFitInSpanOracles:
         with pytest.raises(fs.OutOfRange):
             fs.best_approx(dust3, full_cube(dust3), dust3.points[:, 0], 1, math.inf)
 
+    @pytest.mark.parametrize("u", [1.5, 3.0, 4.0])
+    def test_best_constants_are_exact_on_every_cube(self, cantor4_d4, u):
+        # Every (point, scale) cube with two points or more, one per point set:
+        # cubes holding the same points have the same best constant (1,280
+        # cubes, 257 sets). sigmoid_steep has cells with errors far below
+        # max|f|, where smoothed reweighting of constants overstates the
+        # minimum, by up to 18.8% at u = 4.
+        cloud = cantor4_d4
+        cubes = {}
+        for x in cloud.points:
+            for t in fs.ScaleGrid.dyadic(cloud).scales:
+                cube = fs.Cube(x, float(t))
+                idx = fs.restrict(cloud, cube)[0]
+                if idx.size >= 2:
+                    cubes.setdefault(idx.tobytes(), (cube, idx))
+        cubes = list(cubes.values())
+        # The cubes' points side by side, padded with zero weight, for the oracle.
+        width = max(idx.size for _, idx in cubes)
+        pad = np.array([np.pad(idx, (0, width - idx.size)) for _, idx in cubes])
+        inside = np.arange(width) < np.array([[idx.size] for _, idx in cubes])
+        w = np.where(inside, cloud.weights[pad], 0.0)
+        for tf in fs.battery(cloud):
+            if tf.name not in ("sigmoid_steep", "cusp_beta060"):
+                continue
+            f = fs.sample(tf, cloud).values
+            scale = np.max(np.abs(f))
+            floor = 2.0 * fs.polyapprox.CLAMP_REL * scale
+            want = oracles.best_constant_lu(f[pad], w, u)
+            for (cube, idx), exact in zip(cubes, want):
+                res = fs.best_approx(cloud, cube, f, 1, u)
+                assert res.converged
+                assert abs(res.value - exact) <= 1e-9 * exact + floor, tf.name
+                # The minimizer's own residual gives the reported error: to
+                # 1e-12 of max|f|, as some errors are themselves 1e-11 of it.
+                resid = f[idx] - res.minimizer(cloud.points[idx])
+                got = np.sum(cloud.weights[idx] * np.abs(resid) ** u) ** (1.0 / u)
+                tol = floor if res.value == 0.0 else 1e-12 * scale
+                assert abs(got - res.value) <= tol, tf.name
+
     def test_k_zero_is_plain_norm(self, make_cloud):
         cloud = make_cloud([[0.0], [1.0]], weights=[0.5, 0.5])
         res = fs.best_approx(cloud, full_cube(cloud), [3.0, -4.0], 0, 2.0)
@@ -195,6 +235,11 @@ class TestMonotonicity:
                 continue
             checked += 1
             assert e_in.value <= e_out.value * (1.0 + 1e-6)
+            # The value is the error of the minimizer returned with it.
+            idx, _ = fs.restrict(cloud, fs.Cube(c, r_out))
+            resid = f[idx] - e_out.minimizer(cloud.points[idx])
+            got = np.sum(cloud.weights[idx] * np.abs(resid) ** u) ** (1.0 / u)
+            assert got == pytest.approx(e_out.value, rel=1e-12)
 
 
 class TestProjector:
