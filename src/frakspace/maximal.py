@@ -11,7 +11,10 @@ Chebyshev distances to the whole cloud are computed once and each row is
 ordered by scale level, so every cube Q(x_i, t_j) is a prefix of its row.
 ``error_matrices`` fits the cubes of one scale in batches, for every
 requested function at once; ``hl_maximal`` takes prefix sums along the
-same rows.
+same rows. A local error depends only on the points of its cube, since the
+polynomial space is invariant under translation and scaling, so cubes of one
+scale that hold the same points share one fit: ``_first_alike`` groups them
+exactly, and only the first centre of each group is fitted.
 
 The fits themselves are ``polyapprox._local_errors``, the kernel that
 ``fit_in_span`` and ``best_approx`` call on one cube, so a matrix cell and
@@ -185,8 +188,64 @@ def _neighbourhoods(cloud: WeightedPointCloud, scales: np.ndarray):
             missed += dx > t
         del dx
         order = np.argsort(missed, axis=1, kind="stable")
-        counts = np.stack([np.sum(missed <= j, axis=1) for j in range(nscales)], axis=1)
+        # One histogram of miss counts per row, from a single bincount with
+        # each row offset by S + 1 bins; points missed by fewer than
+        # S - j scales lie in cube j.
+        width = nscales + 1
+        hist = np.bincount(
+            (missed + np.arange(0, rows.size * width, width)[:, None]).ravel(),
+            minlength=rows.size * width,
+        )
+        counts = np.cumsum(hist.reshape(rows.size, width)[:, :nscales], axis=1)
         yield rows, order, counts[:, ::-1]
+
+
+def _first_alike(cloud: WeightedPointCloud, scales: np.ndarray) -> np.ndarray:
+    """Per scale, the first centre whose cube holds the same points, [N, S].
+
+    The coordinates that a cube admits on one axis, by the ``|p - c| <= t``
+    test of ``_neighbourhoods``, are a run of the axis's sorted coordinates
+    (equal coordinates are admitted together), and the cube holds the points
+    whose every coordinate is admitted. So centres whose runs agree on every
+    axis have equal cubes. Runs that differ only in coordinates no point of
+    the cube uses (gaps in the cloud's coordinate grid) still hold the same
+    points; such cubes keep separate representatives.
+    """
+    pts = cloud.points
+    coords = [np.sort(pts[:, axis]) for axis in range(cloud.ambient_dim)]
+    first = np.empty((cloud.size, scales.size), dtype=np.min_scalar_type(cloud.size))
+    for j, t in enumerate(scales):
+        runs = np.hstack([_admitted_runs(c, pts[:, axis], t) for axis, c in enumerate(coords)])
+        # A stable sort keeps each group of equal runs in index order, so a
+        # group's lowest centre comes first.
+        order = np.lexsort(runs.T)
+        ranked = runs[order]
+        starts = np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)])
+        first[order, j] = order[starts][np.cumsum(starts) - 1]
+    return first
+
+
+def _admitted_runs(coords: np.ndarray, centres: np.ndarray, t: float) -> np.ndarray:
+    """Runs [lo, hi) of sorted ``coords`` with ``|coord - c| <= t``, [C, 2].
+
+    Each centre must itself be one of the coordinates, so its run is never
+    empty.
+    """
+    lo = np.searchsorted(coords, centres - t)
+    hi = np.searchsorted(coords, centres + t, side="right")
+
+    def admitted(i):
+        return np.abs(centres - coords[np.clip(i, 0, coords.size - 1)]) <= t
+
+    # c - t and c + t are rounded: move each end until the test admits the
+    # coordinate just inside it and not the one just outside.
+    while True:
+        lo_up, lo_down = ~admitted(lo), (lo > 0) & admitted(lo - 1)
+        hi_down, hi_up = ~admitted(hi - 1), (hi < coords.size) & admitted(hi)
+        if not (lo_up | lo_down | hi_down | hi_up).any():
+            return np.stack([lo, hi], axis=1)
+        lo = lo + lo_up - lo_down
+        hi = hi + hi_up - hi_down
 
 
 def error_matrices(
@@ -204,6 +263,8 @@ def error_matrices(
     L^u. Cubes holding fewer than ``min_points_factor`` times the basis size
     (or rank deficient, for a function not zero there) are NaN; a point with
     every scale skipped raises, since its maximal value would be meaningless.
+    Cubes of one scale that hold the same points share the fit of the first
+    such centre, since the error depends on the point set only.
     """
     if not (1.0 <= u < math.inf):
         raise OutOfRange(f"u must lie in [1, inf), got {u}")
@@ -225,11 +286,13 @@ def error_matrices(
     # alive, each holding one element per (cell, point) pair.
     per_point = 2 * (values.shape[0] + exps.shape[0])
     out = np.full((values.shape[0], size, len(grid)), np.nan)
+    first = _first_alike(cloud, grid.scales)
+    fitted = first == np.arange(size)[:, None]
     for rows, order, counts in _neighbourhoods(cloud, grid.scales):
         for j, t in enumerate(grid.scales):
-            live = np.flatnonzero(counts[:, j] >= needed)
+            live = np.flatnonzero((counts[:, j] >= needed) & fitted[rows, j])
             if live.size == 0:
-                break
+                continue
             step = max(1, CHUNK_ELEMS // (int(counts[live, j].max()) * per_point))
             for start in range(0, live.size, step):
                 cells = live[start : start + step]
@@ -245,6 +308,9 @@ def error_matrices(
                     V = _vandermonde(z.reshape(-1, n), exps).reshape(idx.shape + (-1,))
                 err = _local_errors(V, w, np.take(vals, idx, axis=1), u, mass)[0]
                 out[:, rows[cells], j] = err / mass ** (1.0 / u)
+    for j in range(len(grid)):
+        alike = np.flatnonzero(~fitted[:, j])
+        out[:, alike, j] = out[:, first[alike, j], j]
     skipped = np.isnan(out).all(axis=2).any(axis=0)
     if skipped.any():
         raise TooFewPoints(

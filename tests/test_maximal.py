@@ -347,3 +347,121 @@ class TestKernelPinnedToCellLoop:
             fs.error_matrices(
                 dust3, np.ones((1, 64)), 0, 2.0, fs.ScaleGrid.dyadic(dust3)
             )
+
+
+# Two depths of every builtin generator, and an IFS whose unequal ratios and
+# translations leave gaps in the grid of its coordinates.
+BUILTIN_DEPTHS = [
+    (name, depth)
+    for name, depths in (
+        ("cantor4", (3, 4)),
+        ("carpet", (2, 3)),
+        ("square", (3, 4)),
+        ("interval", (6, 8)),
+    )
+    for depth in depths
+]
+GAPPED_IFS = fs.IfsSpec(
+    2,
+    ((0.37, (0.0, 0.0)), (0.29, (0.61, 0.11)), (0.31, (0.13, 0.67)), (0.3, (0.7, 0.7))),
+    name="gapped",
+)
+
+
+def cube_sets(cloud, scales):
+    """Sorted member tuples of every cube from ``_neighbourhoods``, [N][S]."""
+    sets = [None] * cloud.size
+    for rows, order, counts in fs.maximal._neighbourhoods(cloud, scales):
+        for r, i in enumerate(rows):
+            sets[i] = [tuple(sorted(order[r, :c].tolist())) for c in counts[r]]
+    return sets
+
+
+class TestNeighbourhoods:
+    @pytest.mark.parametrize("name,depth", BUILTIN_DEPTHS)
+    def test_order_and_counts_pinned_to_the_comparison_loop(self, name, depth):
+        cloud = fs.build_cloud(fs.generator_spec(name), depth)
+        scales = fs.ScaleGrid.dyadic(cloud).scales
+        pts, nscales = cloud.points, scales.size
+        seen = 0
+        for rows, order, counts in fs.maximal._neighbourhoods(cloud, scales):
+            dx = np.abs(pts[rows, None, :] - pts[None, :, :]).max(axis=2)
+            missed = np.zeros(dx.shape, dtype=np.min_scalar_type(nscales))
+            for t in scales:
+                missed += dx > t
+            want_order = np.argsort(missed, axis=1, kind="stable")
+            want_counts = np.stack(
+                [np.sum(missed <= j, axis=1) for j in range(nscales)], axis=1
+            )[:, ::-1]
+            assert np.array_equal(order, want_order)
+            assert np.array_equal(counts, want_counts)
+            assert counts.dtype == want_counts.dtype
+            seen += rows.size
+        assert seen == cloud.size
+
+
+class TestSharedCubeFits:
+    """Cubes of one scale that hold the same points share one fit."""
+
+    @pytest.mark.parametrize(
+        "name,depth", BUILTIN_DEPTHS + [("gapped", 4), ("gapped", 5)]
+    )
+    def test_grouping_matches_the_cubes(self, name, depth):
+        spec = GAPPED_IFS if name == "gapped" else fs.generator_spec(name)
+        cloud = fs.build_cloud(spec, depth)
+        scales = fs.ScaleGrid.dyadic(cloud).scales
+        first = fs.maximal._first_alike(cloud, scales)
+        sets = cube_sets(cloud, scales)
+        for j in range(scales.size):
+            # Each representative is the lowest index of its group and holds
+            # the same points as every centre it stands for.
+            assert np.all(first[:, j] <= np.arange(cloud.size))
+            assert np.array_equal(first[first[:, j], j], first[:, j])
+            for i in range(cloud.size):
+                assert sets[i][j] == sets[first[i, j]][j], (i, j)
+            if name != "gapped":
+                # On the builtin grids equal point sets are never split.
+                reps = {}
+                for i in range(cloud.size):
+                    assert reps.setdefault(sets[i][j], first[i, j]) == first[i, j]
+
+    def test_admitted_runs_follow_the_distance_test(self, rng):
+        # Coordinates within two ulps of c - t and c + t, where the rounded
+        # ends c -+ t alone admit the wrong neighbour about half the time,
+        # some of them repeated, as points sharing a coordinate repeat it.
+        for _ in range(200):
+            c, t = rng.random(), 0.5 * rng.random()
+            near = [c]
+            for edge in (c - t, c + t):
+                below = above = edge
+                near.append(edge)
+                for _ in range(2):
+                    below, above = np.nextafter(below, -1.0), np.nextafter(above, 2.0)
+                    near += [below, above]
+            coords = np.sort(np.concatenate([near, near[::2], rng.random(8)]))
+            runs = fs.maximal._admitted_runs(coords, coords, t)
+            ranks = np.arange(coords.size)
+            want = np.abs(coords[:, None] - coords[None, :]) <= t
+            got = (runs[:, :1] <= ranks) & (ranks < runs[:, 1:])
+            assert np.array_equal(got, want)
+
+    def test_each_distinct_cube_is_fitted_once(self, cantor4_d4, monkeypatch):
+        cloud = cantor4_d4
+        grid = fs.ScaleGrid.dyadic(cloud)
+        kernel = fs.maximal._local_errors
+        fitted = []
+
+        def counting(V, w, f, u, mass):
+            fitted.append(w.shape[0])
+            return kernel(V, w, f, u, mass)
+
+        monkeypatch.setattr(fs.maximal, "_local_errors", counting)
+        vals = rough_sample(cloud)[None]
+        out = fs.error_matrices(cloud, vals, 2, 2.0, grid)
+        needed = fs.polyapprox.MIN_POINTS_FACTOR * 3
+        sets = cube_sets(cloud, grid.scales)
+        distinct = {
+            (j, s[j]) for s in sets for j in range(len(grid)) if len(s[j]) >= needed
+        }
+        assert sum(fitted) == len(distinct)
+        assert sum(fitted) < np.count_nonzero(~np.isnan(out))
