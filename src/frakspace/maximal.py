@@ -6,15 +6,14 @@ t**-alpha; the degree of the fitted polynomial space follows alpha through
 one of two conventions ("sharp" and "flat") that differ only at integer
 alpha.
 
-Cubes are found chunk by chunk: for a fixed-size block of centres the
-Chebyshev distances to the whole cloud are computed once and each row is
-ordered by scale level, so every cube Q(x_i, t_j) is a prefix of its row.
-``error_matrices`` fits the cubes of one scale in batches, for every
-requested function at once; ``hl_maximal`` takes prefix sums along the
-same rows. A local error depends only on the points of its cube, since the
-polynomial space is invariant under translation and scaling, so cubes of one
-scale that hold the same points share one fit: ``_first_alike`` groups them
-exactly, and only the first centre of each group is fitted.
+Cubes live in rank space (``_cubes``): on each axis a cube admits a run of
+the sorted coordinates, and centres whose runs agree on every axis hold the
+same points. Per scale only the first centre of each such group is built,
+from the run of its narrowest axis, and the rest copy its result:
+``error_matrices`` fits the built cubes in batches, for every requested
+function at once, and ``hl_maximal`` averages over them. A local error
+depends only on the points of its cube, since the polynomial space is
+invariant under translation and scaling.
 
 The fits themselves are ``polyapprox._local_errors``, the kernel that
 ``fit_in_span`` and ``best_approx`` call on one cube, so a matrix cell and
@@ -59,8 +58,7 @@ __all__ = [
     "hl_maximal",
 ]
 
-# Bound on the (centre, point) pairs of one block of distances, and on the
-# elements a batch of fits allocates at once; keeps the kernels' memory flat in N.
+# Bound on the elements one batch of cubes allocates at once; keeps memory flat in N.
 CHUNK_ELEMS = 1 << 15
 
 
@@ -99,6 +97,8 @@ class ScaleGrid:
         lv = np.asarray(self.levels, dtype=int)
         if s.shape != lv.shape:
             raise OutOfRange("scales and levels disagree in length")
+        if not np.all(np.isfinite(s) & (s > 0.0)):
+            raise OutOfRange("scales must be finite and positive")
         if s.size and np.any(np.diff(s) >= 0.0):
             raise OutOfRange("scales must be strictly decreasing")
         s.setflags(write=False)
@@ -118,8 +118,8 @@ class ScaleGrid:
         nu_min: int = 0,
     ) -> "ScaleGrid":
         """All levels whose scale stays above factor * resolution_scale."""
-        if factor <= 0.0:
-            raise OutOfRange(f"factor must be positive, got {factor}")
+        if not 0.0 < factor < math.inf:
+            raise OutOfRange(f"factor must be finite and positive, got {factor}")
         if nu_min < 0:
             raise OutOfRange(f"nu_min must be >= 0, got {nu_min}")
         floor_scale = factor * cloud.resolution_scale
@@ -166,70 +166,86 @@ def _variant_degree(alpha: float, variant: str) -> int:
     raise OutOfRange(f"variant must be 'sharp' or 'flat', got {variant!r}")
 
 
-def _neighbourhoods(cloud: WeightedPointCloud, scales: np.ndarray):
-    """Every cube Q(x_i, t_j) as a prefix of an ordered row, chunk by chunk.
+def _cubes(cloud: WeightedPointCloud, scales: np.ndarray, quota: int, budget: int):
+    """The distinct cubes Q(x_i, t_j) of at least ``quota`` points, in rank space.
 
-    Yields (rows, order, counts) for fixed-size chunks of centres: row r of
-    ``order`` lists cloud indices by the number of scales whose cube misses
-    them (a stable sort of small integer keys, so ties keep index order),
-    hence Q(x_rows[r], t_j) is ``order[r, :counts[r, j]]``.
+    Yields, per scale, (j, first, batches): ``first[i]`` is the lowest centre
+    whose runs of admitted coordinates (``_admitted_runs``) equal x_i's on
+    every axis, so whose cube holds the same points, and ``batches`` yields
+    (centres, idx) for the first centres whose cubes meet the quota: row r
+    of idx[L, W] lists the members of the cube about ``centres[r]``, padded
+    with the index N, and L * W <= budget unless L = 1. A cube's candidates
+    are the run of its narrowest axis, a slice of that axis's ``argsort``,
+    kept by the test ``|p_a - c_a| <= t`` on the other axes.
     """
-    pts = cloud.points
-    size, nscales = cloud.size, scales.size
-    step = max(1, CHUNK_ELEMS // size)
-    for start in range(0, size, step):
-        rows = np.arange(start, min(start + step, size))
-        dx = np.abs(pts[rows, None, 0] - pts[None, :, 0])
-        for axis in range(1, cloud.ambient_dim):
-            np.maximum(dx, np.abs(pts[rows, None, axis] - pts[None, :, axis]), out=dx)
-        # Scales below the Chebyshev distance, whose cubes miss the point.
-        missed = np.zeros(dx.shape, dtype=np.min_scalar_type(nscales))
-        for t in scales:
-            missed += dx > t
-        del dx
-        order = np.argsort(missed, axis=1, kind="stable")
-        # One histogram of miss counts per row, from a single bincount with
-        # each row offset by S + 1 bins; points missed by fewer than
-        # S - j scales lie in cube j.
-        width = nscales + 1
-        hist = np.bincount(
-            (missed + np.arange(0, rows.size * width, width)[:, None]).ravel(),
-            minlength=rows.size * width,
-        )
-        counts = np.cumsum(hist.reshape(rows.size, width)[:, :nscales], axis=1)
-        yield rows, order, counts[:, ::-1]
+    pts, (size, n) = cloud.points, cloud.points.shape
+    ranked = np.stack([np.argsort(pts[:, axis], kind="stable") for axis in range(n)])
+    coords = [pts[order, axis] for axis, order in enumerate(ranked)]
+    # Rank r of axis a is entry a * (N + 1) + r, and entry N is the padding.
+    ranked = np.hstack([ranked, np.full((n, 1), size)]).ravel()
+    # Coordinates by axis and point; the padding's column is masked out.
+    axes = np.hstack([pts.T, np.zeros((n, 1))])
 
+    def batches(centres, along, starts, lengths, t):
+        done = 0
+        while done < centres.size:
+            run_axis = along[done]
+            end = np.searchsorted(along, run_axis, "right")
+            end = min(end, done + max(1, budget // int(lengths[done])))
+            c, start, length = (x[done:end] for x in (centres, starts, lengths))
+            done = end
+            col = np.arange(length[0])
+            inside = col < length[:, None]
+            idx = ranked[np.where(inside, start[:, None] + col, size)]
+            if n > 1:  # in 1-D the run is the cube
+                for x in (x for a, x in enumerate(axes) if a != run_axis):
+                    inside &= np.abs(x[idx] - x[c, None]) <= t
+                count = np.count_nonzero(inside, axis=1)
+                keep = count >= quota
+                if not keep.any():
+                    continue
+                c, count, inside, idx = c[keep], count[keep], inside[keep], idx[keep]
+                # Members to the front of their rows, in run order.
+                row = np.nonzero(inside)[0]
+                packed = np.full((c.size, int(count.max())), size)
+                packed[row, np.arange(row.size) - (np.cumsum(count) - count)[row]] = idx[inside]
+                idx = packed
+            yield c, idx
 
-def _first_alike(cloud: WeightedPointCloud, scales: np.ndarray) -> np.ndarray:
-    """Per scale, the first centre whose cube holds the same points, [N, S].
-
-    The coordinates that a cube admits on one axis, by the ``|p - c| <= t``
-    test of ``_neighbourhoods``, are a run of the axis's sorted coordinates
-    (equal coordinates are admitted together), and the cube holds the points
-    whose every coordinate is admitted. So centres whose runs agree on every
-    axis have equal cubes. Runs that differ only in coordinates no point of
-    the cube uses (gaps in the cloud's coordinate grid) still hold the same
-    points; such cubes keep separate representatives.
-    """
-    pts = cloud.points
-    coords = [np.sort(pts[:, axis]) for axis in range(cloud.ambient_dim)]
-    first = np.empty((cloud.size, scales.size), dtype=np.min_scalar_type(cloud.size))
+    everyone = np.arange(size)
     for j, t in enumerate(scales):
-        runs = np.hstack([_admitted_runs(c, pts[:, axis], t) for axis, c in enumerate(coords)])
-        # A stable sort keeps each group of equal runs in index order, so a
-        # group's lowest centre comes first.
-        order = np.lexsort(runs.T)
-        ranked = runs[order]
-        starts = np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)])
-        first[order, j] = order[starts][np.cumsum(starts) - 1]
+        runs = np.stack([_admitted_runs(c, pts[:, a], t) for a, c in enumerate(coords)], axis=1)
+        first = _first_alike(runs.reshape(size, 2 * n))
+        lengths = runs[..., 1] - runs[..., 0]
+        axis = lengths.argmin(axis=1)
+        starts = runs[everyone, axis, 0] + axis * (size + 1)
+        lengths = lengths[everyone, axis]
+        centres = np.flatnonzero((first == everyone) & (lengths >= quota))
+        # By run axis and longest run first: a batch shares its run axis, and
+        # its first cube sets its width.
+        centres = centres[np.lexsort((-lengths[centres], axis[centres]))]
+        yield j, first, batches(centres, axis[centres], starts[centres], lengths[centres], t)
+
+
+def _first_alike(runs: np.ndarray) -> np.ndarray:
+    """The lowest centre whose runs [N, 2n] equal each centre's on every axis.
+
+    Runs that differ only in coordinates no point of the cube uses (gaps in
+    the cloud's coordinate grid) hold the same points, but such cubes keep
+    separate representatives. A stable sort keeps each group in index order.
+    """
+    order = np.lexsort(runs.T)
+    ranked = runs[order]
+    starts = np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)])
+    first = np.empty(runs.shape[0], dtype=int)
+    first[order] = order[starts][np.cumsum(starts) - 1]
     return first
 
 
 def _admitted_runs(coords: np.ndarray, centres: np.ndarray, t: float) -> np.ndarray:
     """Runs [lo, hi) of sorted ``coords`` with ``|coord - c| <= t``, [C, 2].
 
-    Each centre must itself be one of the coordinates, so its run is never
-    empty.
+    Each centre must be one of the coordinates, so no run is empty.
     """
     lo = np.searchsorted(coords, centres - t)
     hi = np.searchsorted(coords, centres + t, side="right")
@@ -284,33 +300,19 @@ def error_matrices(
     vals = np.concatenate([values, np.zeros((values.shape[0], 1))], axis=1)
     # A batch of fits keeps about two arrays per function and basis column
     # alive, each holding one element per (cell, point) pair.
-    per_point = 2 * (values.shape[0] + exps.shape[0])
+    budget = max(1, CHUNK_ELEMS // (2 * (values.shape[0] + exps.shape[0])))
     out = np.full((values.shape[0], size, len(grid)), np.nan)
-    first = _first_alike(cloud, grid.scales)
-    fitted = first == np.arange(size)[:, None]
-    for rows, order, counts in _neighbourhoods(cloud, grid.scales):
-        for j, t in enumerate(grid.scales):
-            live = np.flatnonzero((counts[:, j] >= needed) & fitted[rows, j])
-            if live.size == 0:
-                continue
-            step = max(1, CHUNK_ELEMS // (int(counts[live, j].max()) * per_point))
-            for start in range(0, live.size, step):
-                cells = live[start : start + step]
-                m = counts[cells, j]
-                width = int(m.max())
-                inside = np.arange(width) < m[:, None]
-                idx = np.where(inside, order[cells, :width], size)
-                w = wts[idx]
-                mass = w.sum(axis=1)
-                V = None
-                if exps.shape[0] > 1:
-                    z = (pts[idx] - cloud.points[rows[cells], None, :]) / t
-                    V = _vandermonde(z.reshape(-1, n), exps).reshape(idx.shape + (-1,))
-                err = _local_errors(V, w, np.take(vals, idx, axis=1), u, mass)[0]
-                out[:, rows[cells], j] = err / mass ** (1.0 / u)
-    for j in range(len(grid)):
-        alike = np.flatnonzero(~fitted[:, j])
-        out[:, alike, j] = out[:, first[alike, j], j]
+    for j, first, batches in _cubes(cloud, grid.scales, needed, budget):
+        for centres, idx in batches:
+            w = wts[idx]
+            mass = w.sum(axis=1)
+            V = None
+            if exps.shape[0] > 1:
+                z = (pts[idx] - cloud.points[centres, None, :]) / grid.scales[j]
+                V = _vandermonde(z.reshape(-1, n), exps).reshape(idx.shape + (-1,))
+            err = _local_errors(V, w, np.take(vals, idx, axis=1), u, mass)[0]
+            out[:, centres, j] = err / mass ** (1.0 / u)
+        out[:, :, j] = out[:, first, j]
     skipped = np.isnan(out).all(axis=2).any(axis=0)
     if skipped.any():
         raise TooFewPoints(
@@ -386,7 +388,8 @@ def hl_maximal(
     """M_sigma g: max over scales of the cube average of |g|**sigma, power 1/sigma.
 
     Cubes are centered at cloud points, so every cube holds at least its
-    center and all scales contribute.
+    center and all scales contribute. Centres whose cubes hold the same
+    points share one average.
     """
     if not sigma > 0.0:
         raise OutOfRange(f"sigma must be positive, got {sigma}")
@@ -397,19 +400,16 @@ def hl_maximal(
     values = np.asarray(getattr(g, "values", g), dtype=float).ravel()
     if values.shape[0] != cloud.size:
         raise OutOfRange("function sample count does not match the cloud")
-    wts = cloud.weights
-    powered = wts * np.abs(values) ** sigma
-    out = np.empty(cloud.size)
-    for rows, order, counts in _neighbourhoods(cloud, grid.scales):
-        near = order[:, : counts[:, 0].max()]
-        last = counts - 1
-        cw = np.take_along_axis(np.cumsum(wts[near], axis=1), last, axis=1)
-        cg = np.take_along_axis(np.cumsum(powered[near], axis=1), last, axis=1)
-        out[rows] = np.max(cg / cw, axis=1) ** (1.0 / sigma)
+    # Index N is a zero-weight sentinel, as in the padding of ``_cubes``.
+    wts = np.append(cloud.weights, 0.0)
+    powered = wts * np.abs(np.append(values, 0.0)) ** sigma
+    average, best = np.empty(cloud.size), np.zeros(cloud.size)
+    for _, first, batches in _cubes(cloud, grid.scales, 1, CHUNK_ELEMS):
+        for centres, idx in batches:
+            average[centres] = powered[idx].sum(axis=1) / wts[idx].sum(axis=1)
+        np.maximum(best, average[first], out=best)
     name = getattr(g, "name", "")
     return GridFunction(
-        cloud,
-        out,
-        name=f"hl({name})" if name else "hl",
+        cloud, best ** (1.0 / sigma), name=f"hl({name})" if name else "hl",
         meta={"sigma": sigma},
     )

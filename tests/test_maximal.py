@@ -78,6 +78,23 @@ class TestScaleGrid:
     def test_looser_factor_allows_deeper_levels(self, interval6):
         assert len(fs.ScaleGrid.dyadic(interval6, factor=2.0)) == 6
 
+    @pytest.mark.parametrize("scales", [[np.nan], [-0.5], [0.5, -0.5], [0.5, 0.0], [np.inf]])
+    def test_scales_must_be_finite_and_positive(self, scales):
+        # A NaN or negative scale once sent the cube search into an endless
+        # loop, or hl_maximal into an IndexError.
+        with pytest.raises(fs.OutOfRange):
+            fs.ScaleGrid(
+                scales=np.array(scales),
+                levels=np.arange(len(scales)),
+                diam=1.0,
+                factor=4.0,
+            )
+
+    @pytest.mark.parametrize("factor", [np.nan, -1.0, 0.0, np.inf])
+    def test_factor_must_be_finite_and_positive(self, interval6, factor):
+        with pytest.raises(fs.OutOfRange):
+            fs.ScaleGrid.dyadic(interval6, factor=factor)
+
 
 class TestGridFunction:
     def test_wrong_length_rejected(self, dust3):
@@ -138,8 +155,11 @@ class TestAgainstBruteForce:
         assert np.nanmax(got - want) > 1e-6 * np.nanmax(want)
 
     @pytest.mark.parametrize("sigma", [1.0, 2.0])
-    def test_hl_matches_exhaustive_scan(self, dust3, interval6, sigma):
-        for cloud in (dust3, interval6):
+    def test_hl_matches_exhaustive_scan(self, dust3, interval6, cantor4_d4, sigma):
+        # cantor4 and the gapped IFS have groups of many centres sharing one
+        # cube, whose average is computed once and copied.
+        gapped = build("gapped", 4)
+        for cloud in (dust3, interval6, cantor4_d4, gapped):
             vals = rough_sample(cloud, seed=7)
             grid = fs.ScaleGrid.dyadic(cloud)
             got = fs.hl_maximal(cloud, vals, sigma, grid=grid).values
@@ -369,35 +389,63 @@ GAPPED_IFS = fs.IfsSpec(
 
 
 def cube_sets(cloud, scales):
-    """Sorted member tuples of every cube from ``_neighbourhoods``, [N][S]."""
-    sets = [None] * cloud.size
-    for rows, order, counts in fs.maximal._neighbourhoods(cloud, scales):
-        for r, i in enumerate(rows):
-            sets[i] = [tuple(sorted(order[r, :c].tolist())) for c in counts[r]]
-    return sets
+    """Sorted member tuples of every cube Q(x_i, t_j) by the distance test, [N][S]."""
+    pts = cloud.points
+    return [
+        [tuple(np.flatnonzero(np.abs(pts - c).max(axis=1) <= t).tolist()) for t in scales]
+        for c in pts
+    ]
 
 
-class TestNeighbourhoods:
-    @pytest.mark.parametrize("name,depth", BUILTIN_DEPTHS)
-    def test_order_and_counts_pinned_to_the_comparison_loop(self, name, depth):
-        cloud = fs.build_cloud(fs.generator_spec(name), depth)
+def build(name, depth):
+    return fs.build_cloud(GAPPED_IFS if name == "gapped" else fs.generator_spec(name), depth)
+
+
+def assert_cubes_match_the_distance_test(cloud, scales, quota, budget):
+    """Every cube ``_cubes`` yields against the brute-force Chebyshev mask."""
+    pts, size = cloud.points, cloud.size
+    seen = []
+    for j, first, batches in fs.maximal._cubes(cloud, scales, quota, budget):
+        t = scales[j]
+        built = []
+        for centres, idx in batches:
+            assert idx.shape[0] == centres.size
+            assert centres.size == 1 or idx.size <= budget
+            for c, row in zip(centres, idx):
+                members = row[row < size]
+                # Members first, then only padding.
+                assert np.all(row[members.size :] == size)
+                want = np.flatnonzero(np.abs(pts - pts[c]).max(axis=1) <= t)
+                assert np.array_equal(np.sort(members), want), (j, c)
+                built.append(c)
+        # Every group's first centre is built once, unless its cube holds
+        # fewer points than the quota.
+        counts = (np.abs(pts[:, None] - pts[None]).max(axis=2) <= t).sum(axis=1)
+        reps = np.flatnonzero(first == np.arange(size))
+        assert sorted(built) == reps[counts[reps] >= quota].tolist(), j
+        seen.append(j)
+    assert seen == list(range(scales.size))
+
+
+class TestRankSpaceCubes:
+    @pytest.mark.parametrize("quota", [1, 12])
+    @pytest.mark.parametrize(
+        "name,depth", BUILTIN_DEPTHS + [("gapped", 4), ("gapped", 5)]
+    )
+    def test_cubes_match_the_distance_test(self, name, depth, quota):
+        # A small budget splits most scales into many batches.
+        cloud = build(name, depth)
         scales = fs.ScaleGrid.dyadic(cloud).scales
-        pts, nscales = cloud.points, scales.size
-        seen = 0
-        for rows, order, counts in fs.maximal._neighbourhoods(cloud, scales):
-            dx = np.abs(pts[rows, None, :] - pts[None, :, :]).max(axis=2)
-            missed = np.zeros(dx.shape, dtype=np.min_scalar_type(nscales))
-            for t in scales:
-                missed += dx > t
-            want_order = np.argsort(missed, axis=1, kind="stable")
-            want_counts = np.stack(
-                [np.sum(missed <= j, axis=1) for j in range(nscales)], axis=1
-            )[:, ::-1]
-            assert np.array_equal(order, want_order)
-            assert np.array_equal(counts, want_counts)
-            assert counts.dtype == want_counts.dtype
-            seen += rows.size
-        assert seen == cloud.size
+        assert_cubes_match_the_distance_test(cloud, scales, quota, 200)
+
+    @pytest.mark.parametrize("quota", [1, 12])
+    def test_points_on_the_faces_are_members(self, make_cloud, quota):
+        # On a lattice of spacing 1/8 the faces of every cube pass through
+        # points, on the run axis and on the other alike.
+        g = np.arange(7) / 8.0
+        cloud = make_cloud(np.stack(np.meshgrid(g, 0.5 * g), axis=-1).reshape(-1, 2))
+        scales = np.array([0.5, 0.25, 0.125, 0.0625])
+        assert_cubes_match_the_distance_test(cloud, scales, quota, 40)
 
 
 class TestSharedCubeFits:
@@ -407,10 +455,10 @@ class TestSharedCubeFits:
         "name,depth", BUILTIN_DEPTHS + [("gapped", 4), ("gapped", 5)]
     )
     def test_grouping_matches_the_cubes(self, name, depth):
-        spec = GAPPED_IFS if name == "gapped" else fs.generator_spec(name)
-        cloud = fs.build_cloud(spec, depth)
+        cloud = build(name, depth)
         scales = fs.ScaleGrid.dyadic(cloud).scales
-        first = fs.maximal._first_alike(cloud, scales)
+        cubes = fs.maximal._cubes(cloud, scales, 1, fs.maximal.CHUNK_ELEMS)
+        first = np.stack([first for _, first, _ in cubes], axis=1)
         sets = cube_sets(cloud, scales)
         for j in range(scales.size):
             # Each representative is the lowest index of its group and holds
