@@ -76,21 +76,20 @@ def _cmd_norms(args) -> int:
         gf = sample(tf, cloud)
         for alpha in args.alpha:
             for p in args.p:
+                sharp_lp, calderon = "", ""
+                if p > 1.0:  # the Calderon norm does not depend on q
+                    cal = calderon_norm(
+                        cloud,
+                        gf,
+                        alpha,
+                        p,
+                        u=args.u if args.u is not None else 1.0,
+                        variant=args.variant,
+                        grid=grid,
+                    )
+                    sharp_lp, calderon = cal.sharp_lp, cal.calderon
                 for q in args.q:
                     besov = besov_norm(cloud, gf, alpha, p, q, u=args.u, grid=grid)
-                    if p > 1.0:
-                        cal = calderon_norm(
-                            cloud,
-                            gf,
-                            alpha,
-                            p,
-                            u=args.u if args.u is not None else 1.0,
-                            variant=args.variant,
-                            grid=grid,
-                        )
-                        sharp_lp, calderon = cal.sharp_lp, cal.calderon
-                    else:
-                        sharp_lp, calderon = "", ""
                     rows.append(
                         [
                             tf.name,

@@ -40,11 +40,11 @@ from .measure import WeightedPointCloud
 # The matrices never call fit_in_span; it stays importable here only
 # because bench/layers.py wraps it by name at this module too.
 from .polyapprox import (  # noqa: F401
-    MIN_POINTS_FACTOR,
     _local_errors,
     _vandermonde,
     fit_in_span,
     multi_indices,
+    point_quota,
 )
 
 __all__ = [
@@ -156,6 +156,15 @@ def degree_for_flat(alpha: float) -> int:
     if not alpha > 0.0:
         raise NonpositiveAlpha(f"alpha must be positive, got {alpha}")
     return int(math.floor(alpha)) + 1
+
+
+def _scale_grid(cloud: WeightedPointCloud, grid: ScaleGrid | None) -> ScaleGrid:
+    """``grid``, or the cloud's default dyadic grid when it is None; never empty."""
+    if grid is None:
+        grid = ScaleGrid.dyadic(cloud)
+    if len(grid) == 0:
+        raise EmptyGrid("scale grid holds no scales")
+    return grid
 
 
 def _variant_degree(alpha: float, variant: str) -> int:
@@ -270,14 +279,13 @@ def error_matrices(
     k: int,
     u: float,
     grid: ScaleGrid,
-    min_points_factor: int = MIN_POINTS_FACTOR,
 ) -> np.ndarray:
     """Normalized local errors of several functions, shape [F, N, S].
 
     Entry (f, i, j) is the average-form best-approximation error of
     ``values[f]`` over Q(x_i, t_j) by degree <= k - 1 polynomials, measured in
-    L^u. Cubes holding fewer than ``min_points_factor`` times the basis size
-    (or rank deficient, for a function not zero there) are NaN; a point with
+    L^u. Cubes holding fewer than ``point_quota`` of the basis size (or rank
+    deficient, for a function not zero there) are NaN; a point with
     every scale skipped raises, since its maximal value would be meaningless.
     Cubes of one scale that hold the same points share the fit of the first
     such centre, since the error depends on the point set only.
@@ -286,14 +294,13 @@ def error_matrices(
         raise OutOfRange(f"u must lie in [1, inf), got {u}")
     if k < 1:
         raise OutOfRange(f"space parameter k must be >= 1, got {k}")
-    if len(grid) == 0:
-        raise EmptyGrid("scale grid holds no scales")
+    grid = _scale_grid(cloud, grid)
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != cloud.size:
         raise OutOfRange("function sample count does not match the cloud")
     n, size = cloud.ambient_dim, cloud.size
     exps = np.asarray(multi_indices(n, k - 1), dtype=int).reshape(-1, n)
-    needed = max(1, min_points_factor * exps.shape[0])
+    needed = point_quota(exps.shape[0])
     # Index ``size`` is a zero-weight sentinel padding cubes to a common width.
     pts = np.vstack([cloud.points, np.zeros((1, n))])
     wts = np.append(cloud.weights, 0.0)
@@ -328,14 +335,12 @@ def approx_error_matrix(
     k: int,
     u: float,
     grid: ScaleGrid,
-    min_points_factor: int = MIN_POINTS_FACTOR,
 ) -> np.ndarray:
     """Normalized local errors of one function: row i, column j is Q(x_i, t_j).
 
     The one-function case of ``error_matrices``.
     """
-    values = np.asarray(getattr(f, "values", f), dtype=float).ravel()
-    return error_matrices(cloud, values[None], k, u, grid, min_points_factor)[0]
+    return error_matrices(cloud, cloud.values_of(f)[None], k, u, grid)[0]
 
 
 def _sharp_from_matrix(matrix: np.ndarray, scales: np.ndarray, alpha: float) -> np.ndarray:
@@ -351,15 +356,11 @@ def sharp_maximal(
     u: float = 1.0,
     variant: str = "sharp",
     grid: ScaleGrid | None = None,
-    min_points_factor: int = MIN_POINTS_FACTOR,
 ) -> GridFunction:
     """Pointwise max over admissible scales of t**-alpha times the local error."""
     k = _variant_degree(alpha, variant)
-    if grid is None:
-        grid = ScaleGrid.dyadic(cloud)
-    if len(grid) == 0:
-        raise EmptyGrid("scale grid holds no scales")
-    matrix = approx_error_matrix(cloud, f, k, u, grid, min_points_factor)
+    grid = _scale_grid(cloud, grid)
+    matrix = approx_error_matrix(cloud, f, k, u, grid)
     vals = _sharp_from_matrix(matrix, grid.scales, alpha)
     skipped = int(np.isnan(matrix).sum())
     name = getattr(f, "name", "")
@@ -393,13 +394,8 @@ def hl_maximal(
     """
     if not sigma > 0.0:
         raise OutOfRange(f"sigma must be positive, got {sigma}")
-    if grid is None:
-        grid = ScaleGrid.dyadic(cloud)
-    if len(grid) == 0:
-        raise EmptyGrid("scale grid holds no scales")
-    values = np.asarray(getattr(g, "values", g), dtype=float).ravel()
-    if values.shape[0] != cloud.size:
-        raise OutOfRange("function sample count does not match the cloud")
+    grid = _scale_grid(cloud, grid)
+    values = cloud.values_of(g)
     # Index N is a zero-weight sentinel, as in the padding of ``_cubes``.
     wts = np.append(cloud.weights, 0.0)
     powered = wts * np.abs(np.append(values, 0.0)) ** sigma

@@ -159,6 +159,13 @@ class WeightedPointCloud:
         """Diameter of the deepest generation cell: diam * max_ratio**depth."""
         return self.diam * self.max_ratio**self.depth
 
+    def values_of(self, f) -> np.ndarray:
+        """The samples of f, one per point: its ``values``, or f itself, as floats."""
+        values = np.asarray(getattr(f, "values", f), dtype=float).ravel()
+        if values.shape[0] != self.size:
+            raise OutOfRange(f"function has {values.shape[0]} samples, cloud has {self.size}")
+        return values
+
 
 @dataclass(frozen=True)
 class AhlforsReport:

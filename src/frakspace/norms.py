@@ -3,7 +3,10 @@
 Scales are dyadic fractions of the cloud diameter: level nu means
 t = diam * 2**-nu, and the per-scale weight is t**-alpha. The Besov
 seminorm sums weighted per-scale error norms over the admissible window;
-an independent net-based construction serves as its cross-check.
+an independent net-based construction serves as its cross-check. It fits
+f on every occupied cell of a dyadic net in L^p, and fits a cell whose
+points leave the monomials dependent over a full-rank basis of the same
+span, so every p in [1, inf) gives a finite seminorm.
 """
 from __future__ import annotations
 
@@ -12,17 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveAlpha, OutOfRange
+from .errors import NonpositiveAlpha, OutOfRange, RankDeficient
 from .geometry import dyadic_net
 from .maximal import (
     ScaleGrid,
     approx_error_matrix,
     degree_for_flat,
+    _scale_grid,
     _sharp_from_matrix,
     _variant_degree,
 )
 from .measure import WeightedPointCloud
-from .polyapprox import basis_size, fit_in_span, monomial_matrix
+from .polyapprox import RANK_RTOL_SV, basis_size, fit_in_span, monomial_matrix
 
 __all__ = [
     "NormReport",
@@ -39,9 +43,7 @@ def lp_norm(cloud: WeightedPointCloud, f, p: float) -> float:
     """(sum_i w_i |f_i|**p)**(1/p); max |f_i| for p = inf."""
     if not 1.0 <= p:
         raise OutOfRange(f"p must lie in [1, inf], got {p}")
-    values = np.asarray(getattr(f, "values", f), dtype=float).ravel()
-    if values.shape[0] != cloud.size:
-        raise OutOfRange("function sample count does not match the cloud")
+    values = cloud.values_of(f)
     if p == math.inf:
         return float(np.max(np.abs(values)))
     return float(np.sum(cloud.weights * np.abs(values) ** p) ** (1.0 / p))
@@ -112,8 +114,7 @@ def calderon_norm(
     """||f||_p plus the L^p norm of the fractional sharp maximal function."""
     if not p > 1.0:
         raise OutOfRange(f"p must exceed 1 for this norm, got {p}")
-    if grid is None:
-        grid = ScaleGrid.dyadic(cloud)
+    grid = _scale_grid(cloud, grid)
     k = _variant_degree(alpha, variant)
     matrix = approx_error_matrix(cloud, f, k, u, grid)
     sharp_vals = _sharp_from_matrix(matrix, grid.scales, alpha)
@@ -159,8 +160,7 @@ def besov_norm(
                 "p = inf needs an explicit finite inner exponent u"
             )
         u = p
-    if grid is None:
-        grid = ScaleGrid.dyadic(cloud)
+    grid = _scale_grid(cloud, grid)
     k = degree_for_flat(alpha)
     raw = scale_profile(cloud, f, k, u, p, grid)
     weighted = raw * grid.scales**-alpha
@@ -223,9 +223,7 @@ def besov_net_norm(
     levels = [int(v) for v in levels]
     if not levels:
         raise OutOfRange("need at least one net level")
-    values = np.asarray(getattr(f, "values", f), dtype=float).ravel()
-    if values.shape[0] != cloud.size:
-        raise OutOfRange("function sample count does not match the cloud")
+    values = cloud.values_of(f)
     k = degree_for_flat(alpha)
     bbox = cloud.bbox
     terms = []
@@ -255,8 +253,12 @@ def besov_net_norm(
 def _net_cell_residual(pts, w, fv, cube, k, p):
     """Residual of the best degree <= k-1 polynomial fit on one net cell.
 
-    Cells with at most basis_size points are fitted by least squares as
-    well; underdetermined fits interpolate whenever the points allow it.
+    For p = 2, and on cells of at most basis_size points, the fit is
+    weighted least squares; underdetermined fits interpolate whenever the
+    points allow it. Otherwise it is ``fit_in_span`` in L^p. A cell whose
+    monomials are dependent on its points (all on one line, say) is fitted
+    over the same span in a full-rank basis: the right singular vectors of
+    sqrt(w) V above the kernel's rank threshold.
     """
     d = basis_size(pts.shape[1], k)
     if d == 0:
@@ -264,9 +266,14 @@ def _net_cell_residual(pts, w, fv, cube, k, p):
     if pts.shape[0] == 1:
         return fv - fv[0]
     V, _ = monomial_matrix(pts, cube, k)
+    sw = np.sqrt(w)
     if p == 2.0 or pts.shape[0] <= d:
-        sw = np.sqrt(w)
         coef = np.linalg.lstsq(V * sw[:, None], sw * fv, rcond=None)[0]
         return fv - V @ coef
-    coef, _, _, _ = fit_in_span(V, w, fv, p)
+    try:
+        coef = fit_in_span(V, w, fv, p)[0]
+    except RankDeficient:
+        _, sv, vt = np.linalg.svd(V * sw[:, None], full_matrices=False)
+        V = V @ vt[sv > sv[0] * RANK_RTOL_SV].T
+        coef = fit_in_span(V, w, fv, p)[0]
     return fv - V @ coef

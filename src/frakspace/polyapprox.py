@@ -57,7 +57,13 @@ DEFAULT_DELTA_REL = 1e-8
 # cell's values, and a cap on its steps that bisection keeps out of reach.
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 200
+# A fit needs this many points per basis column (and always one point).
 MIN_POINTS_FACTOR = 2
+
+
+def point_quota(d: int) -> int:
+    """Fewest points a cube must hold to be fitted from d basis columns."""
+    return max(1, MIN_POINTS_FACTOR * d)
 
 
 def multi_indices(n: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -230,10 +236,11 @@ def _local_errors(V, w, f, u, mass):
     deficient = lam[:, 0] <= lam[:, -1] * (100.0 * RANK_RTOL_SV**2)
     if np.count_nonzero(deficient):
         # Near the threshold the Gram spectrum is too coarse; decide on the
-        # singular values of sqrt(w) V instead.
+        # singular values of sqrt(w) V instead. A cell of fewer rows than
+        # columns has fewer singular values than columns: it is deficient.
         doubt = np.flatnonzero(deficient)
         sv = np.linalg.svd(np.sqrt(w[doubt])[..., None] * V[doubt], compute_uv=False)
-        deficient[doubt] = sv[:, -1] <= sv[:, 0] * RANK_RTOL_SV
+        deficient[doubt] = (sv.shape[1] < V.shape[2]) | (sv[:, -1] <= sv[:, 0] * RANK_RTOL_SV)
         lam[deficient] = 1.0
     # f[:, :, None] holds each cell's values as a row: [F, L, 1, W].
     rhs = f[:, :, None] @ np.swapaxes(Vw, 1, 2)
@@ -329,8 +336,8 @@ def _newton_errors(d, w, u):
     is summed at the c returned, the last one evaluated; a pair still
     running after NEWTON_MAX_ITER steps is not converged and reports its
     current c. Pairs leave the arrays as they stop; one whose values are
-    all equal stops at once, with error 0. Returns (errors, constants,
-    steps, converged), each of shape [F, L].
+    all equal stops before the first step, with c that value and error 0.
+    Returns (errors, constants, steps, converged), each of shape [F, L].
     """
     nfun, ncell, width = d.shape
     da, wa = d.reshape(-1, width), np.tile(w, (nfun, 1))
@@ -343,7 +350,9 @@ def _newton_errors(d, w, u):
     half = 0.5 * (hi - lo)
     tol = NEWTON_TOL * (hi - lo)
     ones = np.ones(width)
-    c = np.zeros(act.size)
+    # Equal values give tol = 0, which no step from elsewhere meets: such a
+    # pair starts at its value, so its bracket closes before the first step.
+    c = np.where(lo == hi, lo, 0.0)
     for it in range(NEWTON_MAX_ITER):
         r = c[:, None] - da
         g = np.abs(r)
@@ -488,6 +497,7 @@ class Projector:
     cloud points inside the cube.
     """
 
+    cloud: WeightedPointCloud
     cube: Cube
     k: int
     basis: tuple[Polynomial, ...]
@@ -504,20 +514,15 @@ class Projector:
         return len(self.basis)
 
 
-def make_projector(
-    cloud: WeightedPointCloud,
-    cube: Cube,
-    k: int,
-    min_points_factor: int = MIN_POINTS_FACTOR,
-) -> Projector:
+def make_projector(cloud: WeightedPointCloud, cube: Cube, k: int) -> Projector:
     """Construct the local projector; the cube must hold enough points.
 
-    Requires at least ``min_points_factor * basis_size`` points (and one
-    point even for k = 0) so that the Gram matrix is trustworthy.
+    Requires ``point_quota`` of the basis size (one point even for k = 0)
+    so that the Gram matrix is trustworthy.
     """
     d = basis_size(cloud.ambient_dim, k)
     idx, mass = restrict(cloud, cube)
-    needed = max(1, min_points_factor * d)
+    needed = point_quota(d)
     if idx.size < needed:
         raise TooFewPoints(
             f"cube holds {idx.size} points, need {needed} for k={k} in dim "
@@ -527,6 +532,7 @@ def make_projector(
     if d == 0:
         n = cloud.ambient_dim
         return Projector(
+            cloud=cloud,
             cube=cube,
             k=k,
             basis=(),
@@ -560,6 +566,7 @@ def make_projector(
         for j in range(d)
     )
     return Projector(
+        cloud=cloud,
         cube=cube,
         k=k,
         basis=basis,
@@ -573,22 +580,13 @@ def make_projector(
     )
 
 
-def _values_on(cloud: WeightedPointCloud, f) -> np.ndarray:
-    values = np.asarray(getattr(f, "values", f), dtype=float).ravel()
-    if values.shape[0] != cloud.size:
-        raise OutOfRange(
-            f"function has {values.shape[0]} samples, cloud has {cloud.size}"
-        )
-    return values
-
-
 def _project(proj: Projector, f) -> tuple[np.ndarray, np.ndarray]:
     """The cube values of f and <f, p_beta> for each basis polynomial p_beta.
 
     One refinement pass keeps reproduction exact to roundoff even when the
     Gram matrix is poorly conditioned.
     """
-    fv = np.asarray(getattr(f, "values", f), dtype=float).ravel()[proj.indices]
+    fv = proj.cloud.values_of(f)[proj.indices]
     B, w = proj._basis_values, proj._weights
     a = B.T @ (w * fv)
     a += B.T @ (w * (fv - B @ a))
@@ -658,16 +656,14 @@ def best_approx(
     f,
     k: int,
     u: float,
-    *,
-    min_points_factor: int = MIN_POINTS_FACTOR,
 ) -> ApproxResult:
     """Best degree <= k - 1 approximation of f over the cube in L^u."""
     if not (1.0 <= u < math.inf):
         raise OutOfRange(f"u must lie in [1, inf), got {u}")
-    values = _values_on(cloud, f)
+    values = cloud.values_of(f)
     d = basis_size(cloud.ambient_dim, k)
     idx, mass = restrict(cloud, cube)
-    needed = max(1, min_points_factor * d)
+    needed = point_quota(d)
     if idx.size < needed:
         raise TooFewPoints(f"cube holds {idx.size} points, need {needed} for k={k}")
     # k = 0 goes through too: an empty design, and fit_in_span's plain norm.

@@ -126,6 +126,19 @@ class CheckResult:
         return self.worst_constant <= self.budget
 
 
+class _Worst:
+    """The largest value offered, from 0.0, and the one witness behind it."""
+
+    def __init__(self, generator: str, depth: int):
+        self.value, self.witnesses = 0.0, []
+        self._where = (generator, depth)
+
+    def offer(self, value: float, function: str, params: str) -> None:
+        if value > self.value:
+            self.value = value
+            self.witnesses = [Witness(*self._where, function, params, value)]
+
+
 def poincare_sigma(q: float, alpha: float, s: float) -> float:
     """Inner exponent sigma with 1/sigma = 1/q + alpha/s."""
     if not (q >= 1.0 and alpha > 0.0 and s > 0.0):
@@ -323,8 +336,7 @@ def check_monotonicity(
     offset_fracs = rng.random((draws, cloud.ambient_dim))
     outer_r = inner_r * (1.5 + 0.7 * expand_fracs)
 
-    worst, regularity = 0.0, 0.0
-    witnesses: list[Witness] = []
+    worst, regularity = _Worst(generator, cloud.depth), 0.0
     evaluated = 0
     for j in range(draws):
         if evaluated >= pairs:
@@ -353,25 +365,15 @@ def check_monotonicity(
             ratio = 1.0 if value_in == 0.0 else math.inf
         else:
             ratio = value_in / res_out.value
-        if ratio > worst:
-            worst = ratio
-            witnesses = [
-                Witness(
-                    generator,
-                    cloud.depth,
-                    gf.name,
-                    f"k={k},u={u!r},r_in={float(inner_r[j])!r},"
-                    f"r_out={float(outer_r[j])!r}",
-                    ratio,
-                )
-            ]
+        params = f"k={k},u={u!r},r_in={float(inner_r[j])!r},r_out={float(outer_r[j])!r}"
+        worst.offer(ratio, gf.name, params)
         if value_in > 0.0 and res_out.value > 0.0:
             _, mass_out = restrict(cloud, outer)
             reg = (value_in / mass_in ** (1.0 / u)) / (
                 res_out.value / mass_out ** (1.0 / u)
             )
             regularity = max(regularity, reg)
-    return worst, regularity, witnesses, evaluated
+    return worst.value, regularity, worst.witnesses, evaluated
 
 
 def check_poincare(
@@ -399,8 +401,7 @@ def check_poincare(
         cloud, rng, 3 * samples, *(window or _radius_window(cloud, 4.0))
     )
 
-    worst = 0.0
-    witnesses: list[Witness] = []
+    worst = _Worst(generator, cloud.depth)
     evaluated = 0
     sharp_by_name = dict(
         zip((gf.name for gf in funcs), cache.sharp_values(cloud, funcs, alpha, 1.0, k))
@@ -427,18 +428,8 @@ def check_poincare(
             ratio = math.inf
         else:
             ratio = res.normalized / rhs
-        if ratio > worst:
-            worst = ratio
-            witnesses = [
-                Witness(
-                    generator,
-                    cloud.depth,
-                    gf.name,
-                    f"alpha={alpha!r},q={q!r},t={float(radii[j])!r}",
-                    ratio,
-                )
-            ]
-    return worst, witnesses, evaluated
+        worst.offer(ratio, gf.name, f"alpha={alpha!r},q={q!r},t={float(radii[j])!r}")
+    return worst.value, worst.witnesses, evaluated
 
 
 def check_sharp_equivalence(
@@ -463,8 +454,7 @@ def check_sharp_equivalence(
     for u in us:
         for gf, v in zip(funcs, cache.sharp_values(cloud, funcs, alpha, u, k)):
             values[(gf.name, u)] = v
-    left_worst = 0.0
-    left_witnesses: list[Witness] = []
+    left = _Worst(generator, cloud.depth)
     right_constant = 0.0
     for gf in funcs:
         for u_lo, u_hi in zip(us, us[1:]):
@@ -474,23 +464,13 @@ def check_sharp_equivalence(
                 ratios = np.where(
                     v_hi > 0.0, v_lo / v_hi, np.where(v_lo > 0.0, np.inf, 1.0)
                 )
-            r = float(ratios.max())
-            if r > left_worst:
-                left_worst = r
-                left_witnesses = [
-                    Witness(
-                        generator,
-                        cloud.depth,
-                        gf.name,
-                        f"alpha={alpha!r},u_lo={u_lo!r},u_hi={u_hi!r}",
-                        r,
-                    )
-                ]
+            params = f"alpha={alpha!r},u_lo={u_lo!r},u_hi={u_hi!r}"
+            left.offer(float(ratios.max()), gf.name, params)
             hi_norm = lp_norm(cloud, v_hi, norm_p)
             lo_norm = lp_norm(cloud, v_lo, norm_p)
             if lo_norm > 0.0:
                 right_constant = max(right_constant, hi_norm / lo_norm)
-    return left_worst, right_constant, left_witnesses
+    return left.value, right_constant, left.witnesses
 
 
 def check_embedding_chain(
@@ -509,8 +489,7 @@ def check_embedding_chain(
     maximal route exceeds the max-over-scales route by genuinely estimated
     factors R1 and R2, both tracked for depth stability.
     """
-    perscale_worst = 0.0
-    perscale_witnesses: list[Witness] = []
+    perscale = _Worst(generator, cloud.depth)
     r1_constant = 0.0
     r2_constant = 0.0
     for alpha in alphas:
@@ -526,17 +505,7 @@ def check_embedding_chain(
                 worst_col = 1.0 if np.all(finite == 0.0) else math.inf
             else:
                 worst_col = float(finite.max()) / sharp_lp if finite.size else 1.0
-            if worst_col > perscale_worst:
-                perscale_worst = worst_col
-                perscale_witnesses = [
-                    Witness(
-                        generator,
-                        cloud.depth,
-                        gf.name,
-                        f"alpha={alpha!r},p={p!r}",
-                        worst_col,
-                    )
-                ]
+            perscale.offer(worst_col, gf.name, f"alpha={alpha!r},p={p!r}")
             lp = lp_norm(cloud, gf, p)
             if finite.size and sharp_lp > 0.0:
                 sum_norm = float(np.sum(finite**p) ** (1.0 / p))
@@ -544,7 +513,7 @@ def check_embedding_chain(
                 r2_constant = max(
                     r2_constant, (lp + float(finite.max())) / (lp + sharp_lp)
                 )
-    return perscale_worst, r1_constant, r2_constant, perscale_witnesses
+    return perscale.value, r1_constant, r2_constant, perscale.witnesses
 
 
 def check_sobolev_embedding(
@@ -564,8 +533,7 @@ def check_sobolev_embedding(
     if not k * p < cloud.s:
         return None
     q = sobolev_exponent(cloud.s, p, k)
-    worst = 0.0
-    witnesses: list[Witness] = []
+    worst = _Worst(generator, cloud.depth)
     for gf, sharp in zip(funcs, cache.sharp_values(cloud, funcs, float(k), 1.0, k)):
         rhs = lp_norm(cloud, sharp, p)
         mean = float(np.dot(cloud.weights, gf.values))
@@ -576,18 +544,8 @@ def check_sobolev_embedding(
             ratio = math.inf
         else:
             ratio = lhs / rhs
-        if ratio > worst:
-            worst = ratio
-            witnesses = [
-                Witness(
-                    generator,
-                    cloud.depth,
-                    gf.name,
-                    f"k={k},p={p!r},q={q!r}",
-                    ratio,
-                )
-            ]
-    return worst, witnesses
+        worst.offer(ratio, gf.name, f"k={k},p={p!r},q={q!r}")
+    return worst.value, worst.witnesses
 
 
 def check_reverse_holder(
@@ -607,8 +565,7 @@ def check_reverse_holder(
     )
     coeffs = rng.standard_normal((trials, exps.shape[0]))
 
-    worst = 0.0
-    witnesses: list[Witness] = []
+    worst = _Worst(generator, cloud.depth)
     for j in range(trials):
         cube = Cube(centers[j], float(radii[j]))
         poly = Polynomial(n, degree, exps, coeffs[j], cube.center, cube.half_side)
@@ -617,18 +574,8 @@ def check_reverse_holder(
                 ratio = reverse_holder_ratio(cloud, cube, poly, q, u)
             except EmptyCube:
                 continue
-            if ratio > worst:
-                worst = ratio
-                witnesses = [
-                    Witness(
-                        generator,
-                        cloud.depth,
-                        f"poly_deg{degree}",
-                        f"q={q!r},u={u!r},t={float(radii[j])!r}",
-                        ratio,
-                    )
-                ]
-    return worst, witnesses
+            worst.offer(ratio, f"poly_deg{degree}", f"q={q!r},u={u!r},t={float(radii[j])!r}")
+    return worst.value, worst.witnesses
 
 
 def check_ahlfors(

@@ -83,6 +83,29 @@ class TestNorms:
         assert all(r["calderon"] == "" for r in rows)
         assert all(r["besov"] != "" for r in rows)
 
+    def test_calderon_computed_once_per_alpha_and_p(self, tmp_path, monkeypatch):
+        import frakspace.cli
+
+        calls = []
+        real = frakspace.cli.calderon_norm
+
+        def counted(*args, **kwargs):
+            calls.append(args[2:4])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(frakspace.cli, "calderon_norm", counted)
+        many, one = tmp_path / "many.csv", tmp_path / "one.csv"
+        base = ["norms", "interval", "--depth", "5", "--p", "1.0", "2.0"]
+        assert main(base + ["--q", "1", "2", "inf", "--out", str(many)]) == 0
+        rows = list(csv.DictReader(many.read_text().splitlines()[1:]))
+        names = {r["name"] for r in rows}
+        assert len(calls) == len(names) and set(calls) == {(0.7, 2.0)}
+        assert len(rows) == 6 * len(names)
+        # Its q = 2 rows read exactly as those of a run with that q alone.
+        assert main(base + ["--q", "2", "--out", str(one)]) == 0
+        alone = list(csv.DictReader(one.read_text().splitlines()[1:]))
+        assert [r for r in rows if r["q"] == "2.0"] == alone
+
 
 class TestVerify:
     def test_passing_run_and_determinism(self, tmp_path, capsys):

@@ -299,6 +299,22 @@ class TestHlProperties:
             fs.hl_maximal(dust3, np.ones(64), 0.0)
 
 
+def test_empty_grid_is_not_replaced_by_the_default(dust3):
+    # ScaleGrid defines __len__, so an empty grid is falsy; only None means
+    # the default grid.
+    empty = fs.ScaleGrid(scales=np.zeros(0), levels=np.zeros(0), diam=1.0, factor=4.0)
+    vals = rough_sample(dust3)
+    for call in (
+        lambda: fs.sharp_maximal(dust3, vals, 0.5, grid=empty),
+        lambda: fs.hl_maximal(dust3, vals, 1.0, grid=empty),
+        lambda: fs.calderon_norm(dust3, vals, 0.5, 2.0, grid=empty),
+        lambda: fs.besov_norm(dust3, vals, 0.5, 2.0, 2.0, grid=empty),
+        lambda: fs.approx_error_matrix(dust3, vals, 1, 1.0, empty),
+    ):
+        with pytest.raises(fs.EmptyGrid):
+            call()
+
+
 class TestKernelPinnedToCellLoop:
     """The chunked kernel against the per-cell loop it replaced.
 

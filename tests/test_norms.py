@@ -143,6 +143,42 @@ class TestNetBesovNorm:
             res = fs.besov_net_norm(interval6, vals, 1.5, p, 2.0, levels=[2, 3])
             assert max(res.per_level) <= 1e-8
 
+    def test_cells_on_a_line_are_fitted_in_every_p(self, cantor4_d4):
+        # Some cells hold more than basis_size points, all on one line, so
+        # the monomials are dependent there and fit_in_span refuses them.
+        from frakspace.norms import _net_cell_residual
+
+        cloud = cantor4_d4
+        x, y = cloud.points.T
+        vals = np.sin(5.0 * x) + y**2
+        refitted = 0
+        for alpha in (1.5, 2.5):
+            k = fs.degree_for_flat(alpha)
+            for p in (1.0, 3.0):
+                res = fs.besov_net_norm(cloud, vals, alpha, p, 2.0, levels=range(6))
+                assert np.all(np.isfinite(res.per_level))
+                for nu in range(6):
+                    net = fs.dyadic_net(nu, cloud.bbox)
+                    cells = net.assign(cloud.points)
+                    for cell in np.unique(cells):
+                        sel = np.flatnonzero(cells == cell)
+                        if sel.size <= fs.basis_size(2, k):
+                            continue
+                        pts, w, fv = cloud.points[sel], cloud.weights[sel], vals[sel]
+                        V, _ = fs.monomial_matrix(pts, net.cube(cell), k)
+                        try:
+                            fs.fit_in_span(V, w, fv, p)
+                            continue
+                        except fs.RankDeficient:
+                            refitted += 1
+                        sw = np.sqrt(w)
+                        ls = np.linalg.lstsq(V * sw[:, None], sw * fv, rcond=None)[0]
+                        ls_err = np.sum(w * np.abs(fv - V @ ls) ** p) ** (1.0 / p)
+                        resid = _net_cell_residual(pts, w, fv, net.cube(cell), k, p)
+                        err = np.sum(w * np.abs(resid) ** p) ** (1.0 / p)
+                        assert err <= ls_err * (1.0 + 1e-12) + 1e-15
+        assert refitted > 0
+
     def test_band_against_scale_sum_route(self, dust3):
         vals = cusp_sample(dust3)
         summed = fs.besov_norm(dust3, vals, 0.5, 2.0, 2.0).besov_seminorm

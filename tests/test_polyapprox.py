@@ -159,6 +159,31 @@ class TestFitInSpanOracles:
                 cloud, full_cube(cloud), np.sin(t), 2, 2.0
             )
 
+    def test_fewer_points_than_columns_is_rank_deficient(self):
+        # A one-point net cell of the carpet: one design row, six columns.
+        # Its one singular value must not pass the rank test against itself.
+        cloud = fs.build_cloud(fs.generator_spec("carpet"), 3)
+        net = fs.dyadic_net(6, cloud.bbox)
+        cells = net.assign(cloud.points)
+        sel = np.flatnonzero(cells == np.unique(cells)[0])
+        assert sel.size == 1
+        V, _ = fs.monomial_matrix(cloud.points[sel], net.cube(np.unique(cells)[0]), 3)
+        assert V.shape == (1, 6)
+        for u in (1.0, 2.0, 3.0, 4.0):
+            with pytest.raises(fs.RankDeficient):
+                fs.fit_in_span(V, cloud.weights[sel], np.ones(1), u)
+
+    @pytest.mark.parametrize("u", [1.5, 3.0])
+    def test_newton_stops_at_once_on_equal_values(self, u):
+        # Equal values away from the start c = 0 leave a bracket of width 0.
+        from frakspace.polyapprox import _newton_errors
+
+        error, c, steps, converged = _newton_errors(
+            np.full((1, 1, 30), 1e-17), np.full((1, 30), 1.0 / 30.0), u
+        )
+        assert steps[0, 0] == 0 and converged[0, 0]
+        assert error[0, 0] == 0.0 and c[0, 0] == 1e-17
+
     def test_too_few_points(self, make_cloud):
         cloud = make_cloud([[0.1, 0.1], [0.9, 0.8], [0.4, 0.6]])
         with pytest.raises(fs.TooFewPoints):
@@ -311,6 +336,14 @@ class TestProjector:
         cloud = make_cloud([[0.1, 0.2], [0.8, 0.3], [0.5, 0.9]])
         with pytest.raises(fs.TooFewPoints):
             fs.make_projector(cloud, full_cube(cloud), 2)
+
+    @pytest.mark.parametrize("count", [61, 71])
+    def test_wrong_sample_count_rejected(self, dust3, count):
+        proj = fs.make_projector(dust3, full_cube(dust3), 2)
+        with pytest.raises(fs.OutOfRange):
+            fs.apply_projector(proj, np.ones(count))
+        with pytest.raises(fs.OutOfRange):
+            fs.sup_bound_ratio(proj, np.ones(count))
 
     def test_degenerate_geometry_rejected(self, make_cloud):
         t = np.linspace(0.0, 1.0, 10)
