@@ -273,6 +273,34 @@ def _admitted_runs(coords: np.ndarray, centres: np.ndarray, t: float) -> np.ndar
         hi = hi + hi_up - hi_down
 
 
+def _fit_batches(cloud: WeightedPointCloud, values: np.ndarray, k: int):
+    """The batch budget, basis size and batch builder for fits of ``values`` [F, N].
+
+    ``batch(idx, origin, half)`` gathers cells idx[L, W], padded with the
+    index N, into the kernel's arguments (V, w, f, mass): V is the design in
+    each cell's chart (x - origin[l]) / half, or None for constants (k = 1).
+    """
+    n = cloud.ambient_dim
+    exps = np.asarray(multi_indices(n, k - 1), dtype=int).reshape(-1, n)
+    # Index N is a zero-weight sentinel padding cells to a common width.
+    pts = np.vstack([cloud.points, np.zeros((1, n))])
+    wts = np.append(cloud.weights, 0.0)
+    vals = np.concatenate([values, np.zeros((values.shape[0], 1))], axis=1)
+    # A batch of fits keeps about two arrays per function and basis column
+    # alive, each holding one element per (cell, point) pair.
+    budget = max(1, CHUNK_ELEMS // (2 * (values.shape[0] + exps.shape[0])))
+
+    def batch(idx, origin, half):
+        w = wts[idx]
+        V = None
+        if exps.shape[0] > 1:
+            z = (pts[idx] - origin[:, None, :]) / half
+            V = _vandermonde(z.reshape(-1, n), exps).reshape(idx.shape + (-1,))
+        return V, w, np.take(vals, idx, axis=1), w.sum(axis=1)
+
+    return budget, exps.shape[0], batch
+
+
 def error_matrices(
     cloud: WeightedPointCloud,
     values,
@@ -298,27 +326,13 @@ def error_matrices(
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != cloud.size:
         raise OutOfRange("function sample count does not match the cloud")
-    n, size = cloud.ambient_dim, cloud.size
-    exps = np.asarray(multi_indices(n, k - 1), dtype=int).reshape(-1, n)
-    needed = point_quota(exps.shape[0])
-    # Index ``size`` is a zero-weight sentinel padding cubes to a common width.
-    pts = np.vstack([cloud.points, np.zeros((1, n))])
-    wts = np.append(cloud.weights, 0.0)
-    vals = np.concatenate([values, np.zeros((values.shape[0], 1))], axis=1)
-    # A batch of fits keeps about two arrays per function and basis column
-    # alive, each holding one element per (cell, point) pair.
-    budget = max(1, CHUNK_ELEMS // (2 * (values.shape[0] + exps.shape[0])))
-    out = np.full((values.shape[0], size, len(grid)), np.nan)
+    budget, d, batch = _fit_batches(cloud, values, k)
+    needed = point_quota(d)
+    out = np.full((values.shape[0], cloud.size, len(grid)), np.nan)
     for j, first, batches in _cubes(cloud, grid.scales, needed, budget):
         for centres, idx in batches:
-            w = wts[idx]
-            mass = w.sum(axis=1)
-            V = None
-            if exps.shape[0] > 1:
-                z = (pts[idx] - cloud.points[centres, None, :]) / grid.scales[j]
-                V = _vandermonde(z.reshape(-1, n), exps).reshape(idx.shape + (-1,))
-            err = _local_errors(V, w, np.take(vals, idx, axis=1), u, mass)[0]
-            out[:, centres, j] = err / mass ** (1.0 / u)
+            V, w, f, mass = batch(idx, cloud.points[centres], grid.scales[j])
+            out[:, centres, j] = _local_errors(V, w, f, u, mass)[0] / mass ** (1.0 / u)
         out[:, :, j] = out[:, first, j]
     skipped = np.isnan(out).all(axis=2).any(axis=0)
     if skipped.any():

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,7 +160,17 @@ class WeightedPointCloud:
         return self.diam * self.max_ratio**self.depth
 
     def values_of(self, f) -> np.ndarray:
-        """The samples of f, one per point: its ``values``, or f itself, as floats."""
+        """The samples of f, one per point: its ``values``, or f itself, as floats.
+
+        A function that carries its ``cloud`` must come from this cloud, or
+        from one of equal points and weights.
+        """
+        home = getattr(f, "cloud", self)
+        if home is not self and not (
+            np.array_equal(home.points, self.points)
+            and np.array_equal(home.weights, self.weights)
+        ):
+            raise OutOfRange(f"function sampled on {home.name}, not on {self.name}")
         values = np.asarray(getattr(f, "values", f), dtype=float).ravel()
         if values.shape[0] != self.size:
             raise OutOfRange(f"function has {values.shape[0]} samples, cloud has {self.size}")

@@ -4,9 +4,10 @@ Scales are dyadic fractions of the cloud diameter: level nu means
 t = diam * 2**-nu, and the per-scale weight is t**-alpha. The Besov
 seminorm sums weighted per-scale error norms over the admissible window;
 an independent net-based construction serves as its cross-check. It fits
-f on every occupied cell of a dyadic net in L^p, and fits a cell whose
-points leave the monomials dependent over a full-rank basis of the same
-span, so every p in [1, inf) gives a finite seminorm.
+f on every occupied cell of a dyadic net in L^p, in padded batches through
+the kernel every other fit runs (``polyapprox._local_errors``), and fits a
+cell whose points leave the monomials dependent over a full-rank basis of
+the same span, so every p in [1, inf) gives a finite seminorm.
 """
 from __future__ import annotations
 
@@ -15,18 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveAlpha, OutOfRange, RankDeficient
-from .geometry import dyadic_net
+from .errors import NonpositiveAlpha, OutOfRange
+from .geometry import Net, dyadic_net
 from .maximal import (
     ScaleGrid,
     approx_error_matrix,
     degree_for_flat,
+    _fit_batches,
     _scale_grid,
     _sharp_from_matrix,
     _variant_degree,
 )
 from .measure import WeightedPointCloud
-from .polyapprox import RANK_RTOL_SV, basis_size, fit_in_span, monomial_matrix
+# The net route never calls fit_in_span; it stays importable here only
+# because bench/layers.py wraps it by name at this module too.
+from .polyapprox import RANK_RTOL_SV, _local_errors, fit_in_span  # noqa: F401
 
 __all__ = [
     "NormReport",
@@ -223,23 +227,12 @@ def besov_net_norm(
     levels = [int(v) for v in levels]
     if not levels:
         raise OutOfRange("need at least one net level")
-    values = cloud.values_of(f)
-    k = degree_for_flat(alpha)
-    bbox = cloud.bbox
+    budget, _, batch = _fit_batches(cloud, cloud.values_of(f)[None], degree_for_flat(alpha))
     terms = []
     for nu in levels:
-        net = dyadic_net(nu, bbox, offset=offset)
-        cells = net.assign(cloud.points)
-        total = 0.0
-        for cell in np.unique(cells):
-            sel = np.flatnonzero(cells == cell)
-            w = cloud.weights[sel]
-            fv = values[sel]
-            cube = net.cube(cell)
-            resid = _net_cell_residual(cloud.points[sel], w, fv, cube, k, p)
-            total += float(np.sum(w * np.abs(resid) ** p))
-        raw = total ** (1.0 / p)
-        terms.append(net.mesh**-alpha * raw)
+        net = dyadic_net(nu, cloud.bbox, offset=offset)
+        raw = np.sum(_net_errors(cloud, net, budget, batch, p) ** p) ** (1.0 / p)
+        terms.append(net.mesh**-alpha * float(raw))
     terms_arr = np.asarray(terms)
     if q == math.inf:
         seminorm = float(terms_arr.max())
@@ -250,30 +243,40 @@ def besov_net_norm(
     )
 
 
-def _net_cell_residual(pts, w, fv, cube, k, p):
-    """Residual of the best degree <= k-1 polynomial fit on one net cell.
+def _net_errors(cloud: WeightedPointCloud, net: Net, budget: int, batch, p: float):
+    """L^p errors of the best fits on the occupied cells of ``net``, by label.
 
-    For p = 2, and on cells of at most basis_size points, the fit is
-    weighted least squares; underdetermined fits interpolate whenever the
-    points allow it. Otherwise it is ``fit_in_span`` in L^p. A cell whose
-    monomials are dependent on its points (all on one line, say) is fitted
-    over the same span in a full-rank basis: the right singular vectors of
-    sqrt(w) V above the kernel's rank threshold.
+    One stable sort of the cell labels lists each cell's points; cells go
+    to the kernel largest first, in batches of L cells of width W with
+    L * W <= budget unless L = 1, as ``maximal._cubes`` bounds its cubes.
+    A cell the kernel calls rank deficient is fitted over the same span in
+    a full-rank basis, the right singular vectors of sqrt(w) V above the
+    kernel's rank threshold; cells of one rank share one call.
     """
-    d = basis_size(pts.shape[1], k)
-    if d == 0:
-        return fv
-    if pts.shape[0] == 1:
-        return fv - fv[0]
-    V, _ = monomial_matrix(pts, cube, k)
-    sw = np.sqrt(w)
-    if p == 2.0 or pts.shape[0] <= d:
-        coef = np.linalg.lstsq(V * sw[:, None], sw * fv, rcond=None)[0]
-        return fv - V @ coef
-    try:
-        coef = fit_in_span(V, w, fv, p)[0]
-    except RankDeficient:
-        _, sv, vt = np.linalg.svd(V * sw[:, None], full_matrices=False)
-        V = V @ vt[sv > sv[0] * RANK_RTOL_SV].T
-        coef = fit_in_span(V, w, fv, p)[0]
-    return fv - V @ coef
+    cells = net.assign(cloud.points)
+    order = np.argsort(cells, kind="stable")
+    starts = np.flatnonzero(np.concatenate([[True], np.diff(cells[order]) != 0]))
+    counts = np.diff(np.append(starts, cloud.size))
+    by_size = np.argsort(-counts, kind="stable")
+    starts, counts = starts[by_size], counts[by_size]
+    labels = cells[order[starts]]
+    order = np.append(order, cloud.size)  # order[-1] is N, the padding index
+    out, done = np.empty(starts.size), 0
+    while done < starts.size:
+        end = min(starts.size, done + max(1, budget // int(counts[done])))
+        col = np.arange(counts[done])
+        idx = order[np.where(col < counts[done:end, None], starts[done:end, None] + col, -1)]
+        corner = np.stack(np.unravel_index(labels[done:end], net.counts), axis=1)
+        V, w, f, mass = batch(idx, net.anchor + (corner + 0.5) * net.mesh, 0.5 * net.mesh)
+        err = _local_errors(V, w, f, p, mass)[0][0]
+        bad = np.flatnonzero(np.isnan(err))
+        if bad.size:
+            _, sv, vt = np.linalg.svd(np.sqrt(w[bad])[..., None] * V[bad], full_matrices=False)
+            rank = np.count_nonzero(sv > sv[:, :1] * RANK_RTOL_SV, axis=1)
+            for r in set(rank.tolist()):
+                group = bad[rank == r]
+                span = V[group] @ np.swapaxes(vt[rank == r, :r], 1, 2)
+                err[group] = _local_errors(span, w[group], f[:, group], p, mass[group])[0][0]
+        out[by_size[done:end]] = err
+        done = end
+    return out

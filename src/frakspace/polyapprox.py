@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 # Singular values of sqrt(w)V below this relative threshold flag a rank
-# deficient Gram matrix (threshold 1e-12 on the Gram spectrum itself).
+# deficient Gram matrix (its square on the Gram spectrum itself).
 RANK_RTOL_SV = 1e-6
 # Normalized fit errors below CLAMP_REL times the local data scale are
 # floating-point noise from an exact fit and are reported as 0.
@@ -518,7 +518,8 @@ def make_projector(cloud: WeightedPointCloud, cube: Cube, k: int) -> Projector:
     """Construct the local projector; the cube must hold enough points.
 
     Requires ``point_quota`` of the basis size (one point even for k = 0)
-    so that the Gram matrix is trustworthy.
+    so that the Gram matrix is trustworthy. The zero space (k = 0) takes the
+    same steps with an empty basis: its projection is the zero polynomial.
     """
     d = basis_size(cloud.ambient_dim, k)
     idx, mass = restrict(cloud, cube)
@@ -529,40 +530,15 @@ def make_projector(cloud: WeightedPointCloud, cube: Cube, k: int) -> Projector:
             f"{cloud.ambient_dim}"
         )
     w = cloud.weights[idx]
-    if d == 0:
-        n = cloud.ambient_dim
-        return Projector(
-            cloud=cloud,
-            cube=cube,
-            k=k,
-            basis=(),
-            gram_cond=1.0,
-            indices=idx,
-            mass=mass,
-            _weights=w,
-            _basis_values=np.zeros((idx.size, 0)),
-            _coeff_matrix=np.zeros((0, 0)),
-            _exponents=np.zeros((0, n), dtype=int),
-        )
     V, exps = monomial_matrix(cloud.points[idx], cube, k)
-    G = V.T @ (V * w[:, None])
-    lam, U = np.linalg.eigh(G)
-    if lam[-1] <= 0.0 or lam[0] <= lam[-1] * 1e-12:
+    lam, U = np.linalg.eigh(V.T @ (V * w[:, None]))
+    if d and (lam[-1] <= 0.0 or lam[0] <= lam[-1] * RANK_RTOL_SV**2):
         raise RankDeficient(
             f"Gram spectrum [{lam[0]:.3e}, {lam[-1]:.3e}] is rank deficient"
         )
-    cond = float(lam[-1] / lam[0])
     C = U / np.sqrt(lam)
-    B = V @ C
     basis = tuple(
-        Polynomial(
-            cloud.ambient_dim,
-            k - 1,
-            exps,
-            C[:, j],
-            cube.center,
-            cube.half_side,
-        )
+        Polynomial(cloud.ambient_dim, k - 1, exps, C[:, j], cube.center, cube.half_side)
         for j in range(d)
     )
     return Projector(
@@ -570,11 +546,11 @@ def make_projector(cloud: WeightedPointCloud, cube: Cube, k: int) -> Projector:
         cube=cube,
         k=k,
         basis=basis,
-        gram_cond=cond,
+        gram_cond=float(lam[-1] / lam[0]) if d else 1.0,
         indices=idx,
         mass=mass,
         _weights=w,
-        _basis_values=B,
+        _basis_values=V @ C,
         _coeff_matrix=C,
         _exponents=exps,
     )
@@ -609,8 +585,6 @@ def sup_bound_ratio(proj: Projector, f) -> float:
     """max |P_Q f| over cube points divided by the average of |f| there."""
     fv, a = _project(proj, f)
     avg = float(np.sum(proj._weights * np.abs(fv)) / proj.mass)
-    if proj.dimension == 0:
-        return 0.0
     peak = float(np.max(np.abs(proj._basis_values @ a)))
     if avg == 0.0:
         return math.inf if peak > 0.0 else 0.0

@@ -182,7 +182,7 @@ class MatrixCache:
         keys = [(id(cloud), id(gf), int(k), float(u)) for gf in funcs]
         missing = {key: gf for key, gf in zip(keys, funcs) if key not in self._matrices}
         if missing:
-            values = np.stack([gf.values for gf in missing.values()])
+            values = np.stack([cloud.values_of(gf) for gf in missing.values()])
             built = error_matrices(cloud, values, k, u, grid)
             for (key, gf), matrix in zip(missing.items(), built):
                 self._matrices[key] = (gf, matrix)
@@ -251,42 +251,46 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(data) - known
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise OutOfRange(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "generators" in kwargs:
-            kwargs["generators"] = tuple(
-                (str(g), tuple(int(d) for d in depths))
-                for g, depths in kwargs["generators"]
-            )
-        if "budget_overrides" in kwargs:
-            ov = kwargs["budget_overrides"]
-            items = ov.items() if isinstance(ov, dict) else ov
-            kwargs["budget_overrides"] = tuple(
-                (str(k), float(v)) for k, v in items
-            )
-        for name in (
-            "mono_degrees",
-            "mono_exponents",
-            "sharp_exponents",
-            "embedding_alphas",
-            "check_functions",
-            "sharp_functions",
-        ):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        if "revholder_pairs" in kwargs:
-            kwargs["revholder_pairs"] = tuple(
-                (float(a), float(b)) for a, b in kwargs["revholder_pairs"]
-            )
+        kwargs = {}
+        for name, value in data.items():
+            like = fields[name].default
+            if name == "budget_overrides":  # a {check: budget} map or its pairs
+                value = list(value.items()) if isinstance(value, dict) else value
+                like = (("check", 1.0),)
+            try:
+                kwargs[name] = _conform(value, like)
+            except TypeError as exc:
+                raise OutOfRange(f"config field {name!r}: {exc}") from None
         return cls(**kwargs)
 
     def budgets(self) -> dict[str, float]:
         out = dict(DEFAULT_BUDGETS)
         out.update({k: float(v) for k, v in self.budget_overrides})
         return out
+
+
+def _conform(value, like, record: bool = False):
+    """``value`` in the shape of ``like``, a config field's default.
+
+    A tuple takes a JSON list and returns a tuple: a list of any length
+    whose items take the shape of the default's first item, and inside that
+    a record of the default's own length. A float takes any number, an int
+    an int, a str a str; no bool passes for a number.
+    """
+    if isinstance(like, tuple):
+        if not isinstance(value, (list, tuple)) or record and len(value) != len(like):
+            raise TypeError(f"expected a list like {list(like)!r}, got {value!r}")
+        if record:
+            return tuple(_conform(v, part) for v, part in zip(value, like))
+        return tuple(_conform(v, like[0], True) for v in value)
+    kinds = (int, float) if isinstance(like, float) else type(like)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"expected {type(like).__name__}, got {value!r}")
+    return float(value) if isinstance(like, float) else value
 
 
 def _check_rng(seed: int, tag: int, gen_index: int) -> np.random.Generator:
@@ -355,7 +359,7 @@ def check_monotonicity(
             continue
         idx_in, mass_in = restrict(cloud, inner)
         candidate = _weighted_norm(
-            gf.values[idx_in] - res_out.minimizer(cloud.points[idx_in]),
+            cloud.values_of(gf)[idx_in] - res_out.minimizer(cloud.points[idx_in]),
             cloud.weights[idx_in],
             u,
         )
@@ -536,8 +540,8 @@ def check_sobolev_embedding(
     worst = _Worst(generator, cloud.depth)
     for gf, sharp in zip(funcs, cache.sharp_values(cloud, funcs, float(k), 1.0, k)):
         rhs = lp_norm(cloud, sharp, p)
-        mean = float(np.dot(cloud.weights, gf.values))
-        lhs = lp_norm(cloud, gf.values - mean, q)
+        values = cloud.values_of(gf)
+        lhs = lp_norm(cloud, values - float(np.dot(cloud.weights, values)), q)
         if rhs == 0.0:
             if lhs == 0.0:
                 continue

@@ -58,6 +58,11 @@ def square3():
 
 
 @pytest.fixture(scope="session")
+def square4():
+    return fs.build_cloud(fs.generator_spec("square"), 4)
+
+
+@pytest.fixture(scope="session")
 def carpet2():
     return fs.build_cloud(fs.generator_spec("carpet"), 2)
 

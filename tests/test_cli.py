@@ -197,6 +197,21 @@ class TestVerify:
         assert field in err and name in err
         assert not (tmp_path / "verdict.txt").exists()
 
+    @pytest.mark.parametrize(
+        "payload,field",
+        [
+            ({"generators": [["interval", 6]]}, "generators"),
+            ({"mono_pairs": "many"}, "mono_pairs"),
+            ({"generators": [["interval", [6.7]]]}, "generators"),
+        ],
+    )
+    def test_malformed_config_value_fails_cleanly(self, tmp_path, capsys, payload, field):
+        cfg = write_config(tmp_path, payload)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and field in err
+        assert not (tmp_path / "verdict.txt").exists()
+
     def test_malformed_json_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -132,6 +132,27 @@ class TestCloudValidation:
             dust3.points[0, 0] = 99.0
 
 
+class TestValuesOf:
+    def test_function_of_another_cloud_is_refused(self, dust3, square3):
+        # Both clouds hold 64 points, so only the function's cloud tells.
+        gf = fs.GridFunction(square3, square3.points[:, 0] ** 2, name="x2")
+        cube = fs.Cube(dust3.points[0], dust3.diam)
+        for call in (
+            lambda: fs.lp_norm(dust3, gf, 2.0),
+            lambda: fs.sharp_maximal(dust3, gf, 0.5),
+            lambda: fs.MatrixCache().matrices(dust3, [gf], 1, 2.0),
+            lambda: fs.best_approx(dust3, cube, gf, 1, 2.0),
+        ):
+            with pytest.raises(fs.OutOfRange, match="sampled on"):
+                call()
+
+    def test_function_of_an_equal_cloud_is_accepted(self, dust3):
+        twin = fs.build_cloud(fs.generator_spec("cantor4"), 3)
+        assert twin is not dust3
+        gf = fs.GridFunction(twin, twin.points[:, 0] ** 2, name="x2")
+        assert fs.lp_norm(dust3, gf, 2.0) == fs.lp_norm(twin, gf, 2.0)
+
+
 class TestGenerators:
     def test_builtin_names(self):
         assert set(fs.BUILTIN_GENERATORS) == {"cantor4", "carpet", "square", "interval"}

@@ -4,11 +4,32 @@ import numpy as np
 import pytest
 
 import frakspace as fs
+import reference_net
 
 
 def cusp_sample(cloud, beta=0.6):
     anchor = cloud.points[cloud.size // 2]
     return np.max(np.abs(cloud.points - anchor), axis=1) ** beta
+
+
+def battery_cusp(cloud):
+    """The battery's cusp_beta060 (seed 1) sampled on the cloud."""
+    (tf,) = (tf for tf in fs.battery(cloud, seed=1) if tf.name == "cusp_beta060")
+    return fs.sample(tf, cloud).values
+
+
+def net_cell_errors(cloud, vals, alpha, p, nu):
+    """The net route's L^p error on each occupied level-nu cell, by cell label."""
+    k = fs.degree_for_flat(alpha)
+    budget, _, batch = fs.maximal._fit_batches(cloud, np.asarray(vals)[None], k)
+    return fs.norms._net_errors(cloud, fs.dyadic_net(nu, cloud.bbox), budget, batch, p)
+
+
+def lstsq_error(V, w, fv, p):
+    """L^p norm of the weighted least-squares residual of fv in the span of V."""
+    sw = np.sqrt(w)
+    coef = np.linalg.lstsq(V * sw[:, None], sw * fv, rcond=None)[0]
+    return np.sum(w * np.abs(fv - V @ coef) ** p) ** (1.0 / p)
 
 
 class TestLpNorm:
@@ -146,8 +167,6 @@ class TestNetBesovNorm:
     def test_cells_on_a_line_are_fitted_in_every_p(self, cantor4_d4):
         # Some cells hold more than basis_size points, all on one line, so
         # the monomials are dependent there and fit_in_span refuses them.
-        from frakspace.norms import _net_cell_residual
-
         cloud = cantor4_d4
         x, y = cloud.points.T
         vals = np.sin(5.0 * x) + y**2
@@ -160,7 +179,8 @@ class TestNetBesovNorm:
                 for nu in range(6):
                     net = fs.dyadic_net(nu, cloud.bbox)
                     cells = net.assign(cloud.points)
-                    for cell in np.unique(cells):
+                    errors = net_cell_errors(cloud, vals, alpha, p, nu)
+                    for cell, err in zip(np.unique(cells), errors):
                         sel = np.flatnonzero(cells == cell)
                         if sel.size <= fs.basis_size(2, k):
                             continue
@@ -171,13 +191,25 @@ class TestNetBesovNorm:
                             continue
                         except fs.RankDeficient:
                             refitted += 1
-                        sw = np.sqrt(w)
-                        ls = np.linalg.lstsq(V * sw[:, None], sw * fv, rcond=None)[0]
-                        ls_err = np.sum(w * np.abs(fv - V @ ls) ** p) ** (1.0 / p)
-                        resid = _net_cell_residual(pts, w, fv, net.cube(cell), k, p)
-                        err = np.sum(w * np.abs(resid) ** p) ** (1.0 / p)
-                        assert err <= ls_err * (1.0 + 1e-12) + 1e-15
+                        assert err <= lstsq_error(V, w, fv, p) * (1.0 + 1e-12) + 1e-15
         assert refitted > 0
+
+    def test_small_cells_are_fitted_in_lp_not_least_squares(self, square4):
+        # Level 3 cells hold fewer points than the 6 quadratic monomials, yet
+        # their points leave them dependent: the loop before the batched
+        # route reported their least-squares residual at every p.
+        vals = battery_cusp(square4)
+        got = fs.besov_net_norm(square4, vals, 2.5, 1.0, 2.0, levels=[3]).per_level[0]
+        want = reference_net.besov_net_norm(square4, vals, 2.5, 1.0, 2.0, levels=[3])
+        assert got < 0.9 * want.per_level[0]
+        net = fs.dyadic_net(3, square4.bbox)
+        cells = net.assign(square4.points)
+        errors = net_cell_errors(square4, vals, 2.5, 1.0, 3)
+        for cell, err in zip(np.unique(cells), errors):
+            sel = np.flatnonzero(cells == cell)
+            w, fv = square4.weights[sel], vals[sel]
+            V, _ = fs.monomial_matrix(square4.points[sel], net.cube(cell), 3)
+            assert err <= lstsq_error(V, w, fv, 1.0) * (1.0 + 1e-12) + 1e-15
 
     def test_band_against_scale_sum_route(self, dust3):
         vals = cusp_sample(dust3)
@@ -203,6 +235,37 @@ class TestNetBesovNorm:
             fs.besov_net_norm(dust3, vals, 0.5, 2.0, 2.0, levels=[])
         with pytest.raises(fs.OutOfRange):
             fs.besov_net_norm(dust3, vals, 0.5, 2.0, 2.0, levels=[-1])
+
+
+class TestNetPinnedToCellLoop:
+    """The batched net route against the per-cell loop it replaced.
+
+    At p = 2 both fit the same least-squares problems, so each per-level
+    term agrees to rtol 1e-9 plus the zero clamp's floor, 2 CLAMP_REL
+    max|f| mesh**-alpha. At other p the loop reported a least-squares
+    residual on cells of at most basis_size points, where the route fits
+    them in L^p, so no term may exceed the loop's beyond IRLS rounding.
+    """
+
+    CLOUDS = ("interval6", "dust3", "cantor4_d4", "square3", "square4", "carpet2")
+
+    @pytest.mark.parametrize("name", CLOUDS)
+    def test_matches_reference(self, request, name):
+        cloud = request.getfixturevalue(name)
+        vals = battery_cusp(cloud)
+        levels = range(6)
+        mesh = 2.0 ** -np.arange(6)
+        for alpha in (0.5, 1.5, 2.5):
+            floor = 2.0 * fs.polyapprox.CLAMP_REL * np.max(np.abs(vals)) * mesh**-alpha
+            for p in (1.0, 2.0, 3.0):
+                got = np.array(fs.besov_net_norm(cloud, vals, alpha, p, 2.0, levels).per_level)
+                want = reference_net.besov_net_norm(cloud, vals, alpha, p, 2.0, levels)
+                want = np.array(want.per_level)
+                if p == 2.0:
+                    gap = np.abs(got - want) - 1e-9 * want
+                    assert np.all(gap <= floor), (alpha, float(np.max(gap - floor)))
+                else:
+                    assert np.all(got <= want * (1.0 + 1e-7)), (alpha, p)
 
 
 class TestScaleProfile:

@@ -357,6 +357,10 @@ class TestProjector:
         result = fs.apply_projector(proj, np.ones(cloud.size))
         assert result.max_degree == -1
         assert proj.dimension == 0
+        assert proj.basis == ()
+        assert proj.gram_cond == 1.0
+        assert fs.sup_bound_ratio(proj, np.ones(cloud.size)) == 0.0
+        assert fs.uniform_bound(proj, 2.0) == 0.0
 
     def test_uniform_bound_controls_sup(self):
         cloud = seeded_cloud(seed=83)
