@@ -6,23 +6,34 @@ t**-alpha; the degree of the fitted polynomial space follows alpha through
 one of two conventions ("sharp" and "flat") that differ only at integer
 alpha.
 
-Cubes live in rank space (``_cubes``): on each axis a cube admits a run of
-the sorted coordinates, and centres whose runs agree on every axis hold the
-same points. Per scale only the first centre of each such group is built,
-from the run of its narrowest axis, and the rest copy its result:
-``error_matrices`` fits the built cubes in batches, for every requested
-function at once, and ``hl_maximal`` averages over them. A local error
-depends only on the points of its cube, since the polynomial space is
-invariant under translation and scaling.
+Cubes live in rank space. On each axis a cube admits a run of the cloud's
+distinct coordinates (``_admitted_runs``), so a cube is a box of their grid
+(``_rank_grid``), and centres whose runs agree on every axis hold the same
+points: per scale ``_cubes`` finds these groups once, and only the first
+centre of each is evaluated. Where the grid has at most
+GRID_CELLS_PER_POINT cells per point, sums over cubes are read from
+summed-area tables (Crow 1984) with 2**n corner lookups each:
+``hl_maximal`` reads the mass and the mass of |g|**sigma, and
+``error_matrices`` reads the moments that fix a u = 2 error of degree
+<= 1 (k <= 2). Either keeps a table value only where a rounding bound for
+the summation order used puts it within BOX_RTOL / 2 of exact.
+
+Every other cube is gathered (``_cubes``), from the run of its narrowest
+axis: ``error_matrices`` fits the built cubes in batches, for every
+requested function the tables left open, and ``hl_maximal`` sums over
+them, as on an IFS whose coordinates leave gaps. A local error depends only
+on the points of its cube, since the polynomial space is invariant under
+translation and scaling.
 
 The fits themselves are ``polyapprox._local_errors``, the kernel that
-``fit_in_span`` and ``best_approx`` call on one cube, so a matrix cell and
-``best_approx`` on the same cube run the same fit: exact constants (k = 1)
-for every u, and for higher degrees least squares (u = 2) or reweighting
-(other u).
+``fit_in_span`` and ``best_approx`` call on one cube, so a gathered matrix
+cell and ``best_approx`` on the same cube run the same fit: exact constants
+(k = 1) for every u, and for higher degrees least squares (u = 2) or
+reweighting (other u).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -40,6 +51,8 @@ from .measure import WeightedPointCloud
 # The matrices never call fit_in_span; it stays importable here only
 # because bench/layers.py wraps it by name at this module too.
 from .polyapprox import (  # noqa: F401
+    CLAMP_REL,
+    RANK_RTOL_SV,
     _local_errors,
     _vandermonde,
     fit_in_span,
@@ -60,6 +73,13 @@ __all__ = [
 
 # Bound on the elements one batch of cubes allocates at once; keeps memory flat in N.
 CHUNK_ELEMS = 1 << 15
+# Summed-area tables serve a cloud whose grid of distinct coordinates has at
+# most this many cells per point; an IFS whose coordinates leave gaps has
+# about N cells per point, and its cubes are gathered.
+GRID_CELLS_PER_POINT = 4
+# A u = 2 error read from cube moments is kept when its rounding bound puts it
+# within BOX_RTOL / 2 of the exact error, relative; other cubes are fitted.
+BOX_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -175,23 +195,80 @@ def _variant_degree(alpha: float, variant: str) -> int:
     raise OutOfRange(f"variant must be 'sharp' or 'flat', got {variant!r}")
 
 
-def _cubes(cloud: WeightedPointCloud, scales: np.ndarray, quota: int, budget: int):
+@dataclass(frozen=True)
+class _RankGrid:
+    """The cloud's coordinates ranked per axis (``_rank_grid``).
+
+    ``order[a]`` sorts the points along axis a, ``axes[a]`` holds the
+    distinct coordinates of axis a in increasing order, ``starts[a]`` the
+    position in ``order[a]`` of each one's first point, with N appended,
+    and ``ranks[a][i]`` is one more than the index of point i's coordinate
+    in ``axes[a]``.
+    """
+
+    points: np.ndarray
+    order: np.ndarray
+    axes: list
+    starts: list
+    ranks: list
+
+
+def _rank_grid(cloud: WeightedPointCloud) -> _RankGrid:
+    """The cloud's coordinates ranked per axis, for ``_cubes`` and the tables."""
+    pts, (size, n) = cloud.points, cloud.points.shape
+    order = np.stack([np.argsort(pts[:, axis], kind="stable") for axis in range(n)])
+    axes, starts, ranks = [], [], []
+    for axis, by in enumerate(order):
+        coords = pts[by, axis]
+        # A diff mask rather than np.unique, whose first call imports numpy.ma.
+        new = np.concatenate([[True], coords[1:] != coords[:-1]])
+        rank = np.empty(size, dtype=np.intp)
+        rank[by] = np.cumsum(new)
+        axes.append(coords[new])
+        starts.append(np.append(np.flatnonzero(new), size))
+        ranks.append(rank)
+    return _RankGrid(pts, order, axes, starts, ranks)
+
+
+def _table_layout(rank: _RankGrid):
+    """Where the rank grid has at most GRID_CELLS_PER_POINT cells per point,
+    (cells, shape, depth) of its summed-area tables; else None.
+
+    A table of ``shape`` has one entry more per axis than that axis has
+    distinct coordinates, entry 0 being the empty prefix, and point i adds
+    to its entry ``cells[i]``. ``depth`` bounds the rounded additions any
+    one point's term passes through on its way into a table entry
+    (``_summed_area``).
+    """
+    if math.prod(x.size for x in rank.axes) > GRID_CELLS_PER_POINT * len(rank.points):
+        return None
+    shape = tuple(x.size + 1 for x in rank.axes)
+    cells = np.ravel_multi_index(rank.ranks, shape)
+    # bincount adds the points that share a cell, then each axis's prefix
+    # sums add ceil(log2(L)) times (``_summed_area``).
+    depth = int(np.bincount(cells).max()) - 1
+    depth += sum((length - 1).bit_length() for length in shape)
+    return cells, shape, depth
+
+
+def _cubes(rank: _RankGrid, scales: np.ndarray, quota: int, budget: int, settle=None):
     """The distinct cubes Q(x_i, t_j) of at least ``quota`` points, in rank space.
 
     Yields, per scale, (j, first, batches): ``first[i]`` is the lowest centre
-    whose runs of admitted coordinates (``_admitted_runs``) equal x_i's on
-    every axis, so whose cube holds the same points, and ``batches`` yields
-    (centres, idx) for the first centres whose cubes meet the quota: row r
-    of idx[L, W] lists the members of the cube about ``centres[r]``, padded
-    with the index N, and L * W <= budget unless L = 1. A cube's candidates
-    are the run of its narrowest axis, a slice of that axis's ``argsort``,
-    kept by the test ``|p_a - c_a| <= t`` on the other axes.
+    whose runs of admitted distinct coordinates (``_admitted_runs``) equal
+    x_i's on every axis, so whose cube holds the same points, and
+    ``batches`` yields (centres, idx) for the first centres whose cubes may
+    meet the quota: row r of idx[L, W] lists the members of the cube about
+    ``centres[r]``, padded with the index N, and L * W <= budget unless
+    L = 1. A cube's candidates are the run of its narrowest axis, a slice of
+    that axis's order, kept by the test ``|p_a - c_a| <= t`` on the other
+    axes. ``settle(j, reps, runs)``, when given, first sees a scale's first
+    centres ``reps`` and their runs [R, n, 2], and returns the mask of those
+    it settled itself, which are not built.
     """
-    pts, (size, n) = cloud.points, cloud.points.shape
-    ranked = np.stack([np.argsort(pts[:, axis], kind="stable") for axis in range(n)])
-    coords = [pts[order, axis] for axis, order in enumerate(ranked)]
+    pts, (size, n) = rank.points, rank.points.shape
     # Rank r of axis a is entry a * (N + 1) + r, and entry N is the padding.
-    ranked = np.hstack([ranked, np.full((n, 1), size)]).ravel()
+    ranked = np.hstack([rank.order, np.full((n, 1), size)]).ravel()
     # Coordinates by axis and point; the padding's column is masked out.
     axes = np.hstack([pts.T, np.zeros((n, 1))])
 
@@ -223,13 +300,17 @@ def _cubes(cloud: WeightedPointCloud, scales: np.ndarray, quota: int, budget: in
 
     everyone = np.arange(size)
     for j, t in enumerate(scales):
-        runs = np.stack([_admitted_runs(c, pts[:, a], t) for a, c in enumerate(coords)], axis=1)
+        runs = np.stack([_admitted_runs(x, pts[:, a], t) for a, x in enumerate(rank.axes)], axis=1)
         first = _first_alike(runs.reshape(size, 2 * n))
-        lengths = runs[..., 1] - runs[..., 0]
+        # The runs as slices of each axis's order.
+        ends = np.stack([at[runs[:, a]] for a, at in enumerate(rank.starts)], axis=1)
+        lengths = ends[..., 1] - ends[..., 0]
         axis = lengths.argmin(axis=1)
-        starts = runs[everyone, axis, 0] + axis * (size + 1)
+        starts = ends[everyone, axis, 0] + axis * (size + 1)
         lengths = lengths[everyone, axis]
         centres = np.flatnonzero((first == everyone) & (lengths >= quota))
+        if settle is not None:
+            centres = centres[~settle(j, centres, runs[centres])]
         # By run axis and longest run first: a batch shares its run axis, and
         # its first cube sets its width.
         centres = centres[np.lexsort((-lengths[centres], axis[centres]))]
@@ -239,9 +320,10 @@ def _cubes(cloud: WeightedPointCloud, scales: np.ndarray, quota: int, budget: in
 def _first_alike(runs: np.ndarray) -> np.ndarray:
     """The lowest centre whose runs [N, 2n] equal each centre's on every axis.
 
-    Runs that differ only in coordinates no point of the cube uses (gaps in
-    the cloud's coordinate grid) hold the same points, but such cubes keep
-    separate representatives. A stable sort keeps each group in index order.
+    Equal runs of distinct coordinates hold the same points. Runs that differ
+    only in coordinates no point of the cube uses (gaps in the cloud's
+    coordinate grid) hold the same points too, but such cubes keep separate
+    representatives. A stable sort keeps each group in index order.
     """
     order = np.lexsort(runs.T)
     ranked = runs[order]
@@ -271,6 +353,161 @@ def _admitted_runs(coords: np.ndarray, centres: np.ndarray, t: float) -> np.ndar
             return np.stack([lo, hi], axis=1)
         lo = lo + lo_up - lo_down
         hi = hi + hi_up - hi_down
+
+
+def _summed_area(layout, quantities: list) -> np.ndarray:
+    """Summed-area tables [T, G] of T per-point ``quantities`` [N] (``_table_layout``).
+
+    Entry e of table t sums quantities[t] over the points whose rank on
+    every axis lies below e's index there. Each axis of L entries takes its
+    prefix sums in ceil(log2(L)) doubling steps, each adding to every entry
+    the one a power of two before it, so a term passes through that many
+    roundings per axis where a running sum would take up to L - 1. Tables
+    are scanned one at a time, so the scan's temporary is one table.
+    """
+    cells, shape, _ = layout
+    tables = np.empty((len(quantities), math.prod(shape)))
+    for table, q in zip(tables, quantities):
+        table[:] = np.bincount(cells, weights=q, minlength=table.size)
+        table = table.reshape(shape)
+        for axis in range(table.ndim):
+            x = np.moveaxis(table, axis, -1)
+            shift = 1
+            while shift < x.shape[-1]:
+                x[..., shift:] = x[..., shift:] + x[..., :-shift]
+                shift *= 2
+    return tables
+
+
+def _box_sums(layout, tables: np.ndarray, runs: np.ndarray, signed=True) -> np.ndarray:
+    """Each of ``tables`` [T, G] summed over boxes of the rank grid, [T, C].
+
+    ``runs`` [C, n, 2] holds each box's run [lo, hi) of distinct coordinates
+    per axis, as ``_cubes`` finds them. A box's sum adds the table's 2**n
+    corner entries with alternating signs, the all-upper corner first;
+    ``signed=False`` adds them all, which for tables of nonnegative terms
+    bounds every partial sum.
+    """
+    shape = layout[1]
+    ends = runs * np.cumprod((1,) + shape[:0:-1])[::-1, None]
+    total = None
+    for corner in itertools.product((1, 0), repeat=len(shape)):
+        entry = np.take(tables, sum(ends[:, a, side] for a, side in enumerate(corner)), axis=1)
+        if total is None:
+            total = entry
+        elif signed and (len(shape) - sum(corner)) % 2:
+            total -= entry
+        else:
+            total += entry
+    return total
+
+
+def _table_errors(cloud: WeightedPointCloud, layout, values: np.ndarray, k: int, scales,
+                  quota, out, settled):
+    """A ``settle`` for ``_cubes``: the u = 2 errors of degree <= k - 1 fits
+    (k <= 2) that cube moments fix, read from summed-area tables.
+
+    ``settle(j, reps, runs)`` writes into ``out`` [F, N, S] each normalized
+    error it keeps and marks ``settled`` [F, N, S] where it kept one or the
+    cube holds fewer than ``quota`` points (NaN); it returns the mask of
+    cubes settled for every function.
+
+    Moments are taken of x about the cloud's centre and of each f about its
+    weighted mean. Per cube, the centred co-moments C of (x, f) give
+    E**2 = C_ff - 2 C_xf.c + c.C_xx c at c = C_xx**-1 C_xf.
+
+    The rounding bound: a box sum of a table of q, the rounding of each
+    point's product included, is within beta * sum|q| of exact, where
+    beta = 2**n (depth + 2**n + 3) u, u = eps / 2 the unit roundoff and
+    depth that of ``_table_layout``. So each co-moment C_ij is within
+    2 beta (|P| A |P|^T)_ij, the factor 2 covering the centring's own
+    rounding, with A the cloud's sums of w |z_i z_j| over z = (1, x, f)
+    and P = [-zbar | I] from the cube means. At v = (-c, 1), E**2 is then
+    within 2 beta y.A.y, y = |P|^T |v|, which also covers the arithmetic of
+    the form and the minimizer of the exact moments, kept within
+    sqrt(BOX_RTOL) relative of c by the conditioning test below. A cell
+    keeps its error when that bound plus beta A_ww / mass, the bound on its
+    mass, stays within BOX_RTOL of E**2, its count meets ``quota``, its
+    C_xx is well conditioned (the kernel's rank test passes, and C_xx's own
+    error moves c by at most sqrt(BOX_RTOL) relative), and its error is
+    clear of the kernel's zero clamp taken with the cloud's max|f|. Cells
+    that keep nothing are left for the kernel.
+
+    All tables are built at once, m + 2 + m (m + 1) / 2 shared and m + 2
+    per function, each of about N to GRID_CELLS_PER_POINT * N entries.
+    """
+    pts, w = cloud.points, cloud.weights
+    n, nfun = pts.shape[1], values.shape[0]
+    m = n if k == 2 else 0  # the x columns of the fit: none for constants
+    lo, hi = cloud.bbox
+    x = (pts - 0.5 * (lo + hi))[:, :m]
+    f = values - (values @ w / w.sum())[:, None]
+    pairs = [(a, b) for a in range(m) for b in range(a, m)]
+    shared = [np.ones_like(w), w, *(w * x[:, a] for a in range(m))]
+    shared += [w * x[:, a] * x[:, b] for a, b in pairs]
+    own = [[w * g, *(w * x[:, a] * g for a in range(m)), w * g * g] for g in f]
+    tables = _summed_area(layout, shared + [q for qs in own for q in qs])
+    # The cloud's absolute moments A [F, m + 2, m + 2] of z = (1, |x|, |f|).
+    absolute = np.empty((nfun, m + 2, m + 2))
+    for into, g in zip(absolute, f):
+        z = np.column_stack([np.ones_like(w), np.abs(x), np.abs(g)])
+        into[:] = (z.T * w) @ z
+    beta = 2**n * (layout[2] + 2**n + 3) * 0.5 * np.finfo(float).eps
+    peak = np.abs(values).max(axis=1)[:, None]
+    step = max(1, CHUNK_ELEMS // len(tables))
+
+    def settle(j, reps, runs):
+        t = scales[j]
+        for start in range(0, reps.size, step):
+            rows = reps[start : start + step]
+            sums = _box_sums(layout, tables, runs[start : start + step])
+            count, mass = sums[0], sums[1]
+            Sx = sums[2 : 2 + m].T
+            Sxx = np.empty((mass.size, m, m))
+            for row, (a, b) in zip(sums[2 + m : len(shared)], pairs):
+                Sxx[:, a, b] = Sxx[:, b, a] = row
+            own_sums = sums[len(shared) :].reshape(nfun, m + 2, -1)
+            Sf, Sxf, Sff = (own_sums[:, i] for i in (0, slice(1, 1 + m), -1))
+            Sxf = np.swapaxes(Sxf, 1, 2)
+            xbar, fbar = Sx / mass[:, None], Sf / mass
+            Cxx = Sxx - Sx[:, :, None] * xbar[:, None, :]
+            Cxf = Sxf - Sx * fbar[..., None]
+            E2 = Sff - Sf * fbar
+            zbar = np.concatenate([np.broadcast_to(xbar, Cxf.shape), fbar[..., None]], axis=2)
+            zbar = np.abs(zbar)
+            # Diagonal of |P| A |P|^T, per function, cube and column of z.
+            diag = (
+                zbar * zbar * absolute[:, None, :1, 0]
+                + 2.0 * zbar * absolute[:, None, 0, 1:]
+                + np.diagonal(absolute, axis1=1, axis2=2)[:, None, 1:]
+            )
+            keep = np.broadcast_to(count >= quota, E2.shape)
+            c = np.zeros(Cxf.shape)
+            if m:
+                # One eigendecomposition per cube serves every function.
+                spectrum, basis = np.linalg.eigh(Cxx)
+                lam = spectrum[:, 0]
+                ranked = lam >= RANK_RTOL_SV * t * t * mass
+                spectrum[~ranked] = 1.0
+                along = (Cxf[..., None, :] @ basis)[..., 0, :] / spectrum
+                c = (basis @ along[..., None])[..., 0]
+                E2 = E2 + (((Cxx @ c[..., None])[..., 0] - 2.0 * Cxf) * c).sum(axis=2)
+                trace = 2.0 * beta * diag[..., :m].sum(axis=2)
+                moved = trace + np.sqrt(trace * 2.0 * beta * diag[..., m])
+                keep = keep & ranked & (moved <= math.sqrt(BOX_RTOL) * lam)
+            v = np.abs(c)
+            y0 = (zbar[..., :m] * v).sum(axis=2, keepdims=True) + zbar[..., m:]
+            y = np.concatenate([y0, v, np.ones(E2.shape + (1,))], axis=2)
+            bound = 2.0 * beta * ((y @ absolute) * y).sum(axis=2)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                norm = np.sqrt(E2 / mass)
+                keep = keep & (bound + E2 * beta * absolute[:, :1, 0] / mass <= BOX_RTOL * E2)
+            keep = keep & (norm > CLAMP_REL * peak * (1.0 + BOX_RTOL))
+            out[:, rows, j] = np.where(keep, norm, np.nan)
+            settled[:, rows, j] = keep | (count < quota)
+        return settled[:, reps, j].all(axis=0)
+
+    return settle
 
 
 def _fit_batches(cloud: WeightedPointCloud, values: np.ndarray, k: int):
@@ -317,6 +554,13 @@ def error_matrices(
     every scale skipped raises, since its maximal value would be meaningless.
     Cubes of one scale that hold the same points share the fit of the first
     such centre, since the error depends on the point set only.
+
+    At u = 2 with k <= 2, errors are read from summed-area tables of cube
+    moments where the cloud's coordinate grid allows them and a rounding
+    bound keeps each within BOX_RTOL / 2 of exact (``_table_errors``); the
+    cubes left over are fitted as above, in batches that fit each function
+    the tables left open on some cube of the batch, and those fits replace
+    the batch's table values.
     """
     if not (1.0 <= u < math.inf):
         raise OutOfRange(f"u must lie in [1, inf), got {u}")
@@ -328,11 +572,22 @@ def error_matrices(
         raise OutOfRange("function sample count does not match the cloud")
     budget, d, batch = _fit_batches(cloud, values, k)
     needed = point_quota(d)
+    rank = _rank_grid(cloud)
     out = np.full((values.shape[0], cloud.size, len(grid)), np.nan)
-    for j, first, batches in _cubes(cloud, grid.scales, needed, budget):
+    settled = np.zeros(out.shape, dtype=bool)
+    settle = None
+    layout = _table_layout(rank) if u == 2.0 and k <= 2 else None
+    if layout is not None:
+        settle = _table_errors(cloud, layout, values, k, grid.scales, needed, out, settled)
+    for j, first, batches in _cubes(rank, grid.scales, needed, budget, settle):
         for centres, idx in batches:
             V, w, f, mass = batch(idx, cloud.points[centres], grid.scales[j])
-            out[:, centres, j] = _local_errors(V, w, f, u, mass)[0] / mass ** (1.0 / u)
+            # Only the functions that some cube of the batch still needs are
+            # fitted, and their fits replace any table values of the batch.
+            rows = np.flatnonzero(~settled[:, centres, j].all(axis=1))
+            out[rows[:, None], centres, j] = (
+                _local_errors(V, w, f[rows], u, mass)[0] / mass ** (1.0 / u)
+            )
         out[:, :, j] = out[:, first, j]
     skipped = np.isnan(out).all(axis=2).any(axis=0)
     if skipped.any():
@@ -404,7 +659,14 @@ def hl_maximal(
 
     Cubes are centered at cloud points, so every cube holds at least its
     center and all scales contribute. Centres whose cubes hold the same
-    points share one average.
+    points share one average. Where the cloud's grid of distinct coordinates
+    allows (``_table_layout``), a cube's mass and mass of |g|**sigma are read
+    from summed-area tables. Their terms are nonnegative, but a box sum adds
+    and subtracts 2**n prefix sums, so its error is bounded by
+    (depth + 2**n + 1) eps / 2 times the sum of those prefix sums, which for
+    a small cube can be about N times its own sum. A cube keeps its table
+    average only when that bound puts M_sigma within BOX_RTOL / 2 of exact;
+    every other cube is gathered and summed.
     """
     if not sigma > 0.0:
         raise OutOfRange(f"sigma must be positive, got {sigma}")
@@ -413,8 +675,31 @@ def hl_maximal(
     # Index N is a zero-weight sentinel, as in the padding of ``_cubes``.
     wts = np.append(cloud.weights, 0.0)
     powered = wts * np.abs(np.append(values, 0.0)) ** sigma
-    average, best = np.empty(cloud.size), np.zeros(cloud.size)
-    for _, first, batches in _cubes(cloud, grid.scales, 1, CHUNK_ELEMS):
+    average = np.empty(cloud.size)
+    rank = _rank_grid(cloud)
+    settle = None
+    layout = _table_layout(rank)
+    if layout is not None:
+        _, shape, depth = layout
+        tables = _summed_area(layout, [wts[:-1], powered[:-1]])
+        rounding = (depth + 2 ** len(shape) + 1) * 0.5 * np.finfo(float).eps
+        step = CHUNK_ELEMS // 2
+
+        def settle(j, reps, runs):
+            keep = np.empty(reps.size, dtype=bool)
+            for start in range(0, reps.size, step):
+                part = slice(start, start + step)
+                mass, total = _box_sums(layout, tables, runs[part])
+                spread = _box_sums(layout, tables, runs[part], signed=False)
+                average[reps[part]] = total / mass
+                # Relative errors of mass and total add in the average, and
+                # the power 1 / sigma scales them.
+                bound = rounding * (spread[0] * total + spread[1] * mass)
+                keep[part] = bound <= 0.5 * sigma * BOX_RTOL * mass * total
+            return keep
+
+    best = np.zeros(cloud.size)
+    for _, first, batches in _cubes(rank, grid.scales, 1, CHUNK_ELEMS, settle):
         for centres, idx in batches:
             average[centres] = powered[idx].sum(axis=1) / wts[idx].sum(axis=1)
         np.maximum(best, average[first], out=best)

@@ -195,11 +195,16 @@ def besov_norm(
 
 @dataclass(frozen=True)
 class NetBesovResult:
-    """Net-based Besov seminorm and its per-level weighted terms."""
+    """Net-based Besov seminorm and its per-level weighted terms.
+
+    ``unconverged`` counts the cell fits, over all levels, that stopped at
+    their step cap: their errors bound the best ones from above only.
+    """
 
     seminorm: float
     levels: tuple[int, ...]
     per_level: tuple[float, ...]
+    unconverged: int = 0
 
 
 def besov_net_norm(
@@ -228,23 +233,28 @@ def besov_net_norm(
     if not levels:
         raise OutOfRange("need at least one net level")
     budget, _, batch = _fit_batches(cloud, cloud.values_of(f)[None], degree_for_flat(alpha))
-    terms = []
+    terms, unconverged = [], 0
     for nu in levels:
         net = dyadic_net(nu, cloud.bbox, offset=offset)
-        raw = np.sum(_net_errors(cloud, net, budget, batch, p) ** p) ** (1.0 / p)
-        terms.append(net.mesh**-alpha * float(raw))
+        errors, stopped = _net_errors(cloud, net, budget, batch, p)
+        terms.append(net.mesh**-alpha * float(np.sum(errors**p) ** (1.0 / p)))
+        unconverged += stopped
     terms_arr = np.asarray(terms)
     if q == math.inf:
         seminorm = float(terms_arr.max())
     else:
         seminorm = float(np.sum(terms_arr**q) ** (1.0 / q))
     return NetBesovResult(
-        seminorm=seminorm, levels=tuple(levels), per_level=tuple(terms)
+        seminorm=seminorm,
+        levels=tuple(levels),
+        per_level=tuple(terms),
+        unconverged=unconverged,
     )
 
 
 def _net_errors(cloud: WeightedPointCloud, net: Net, budget: int, batch, p: float):
-    """L^p errors of the best fits on the occupied cells of ``net``, by label.
+    """L^p errors of the best fits on the occupied cells of ``net``, by label,
+    and the number of those fits that did not converge.
 
     One stable sort of the cell labels lists each cell's points; cells go
     to the kernel largest first, in batches of L cells of width W with
@@ -261,14 +271,14 @@ def _net_errors(cloud: WeightedPointCloud, net: Net, budget: int, batch, p: floa
     starts, counts = starts[by_size], counts[by_size]
     labels = cells[order[starts]]
     order = np.append(order, cloud.size)  # order[-1] is N, the padding index
-    out, done = np.empty(starts.size), 0
+    out, done, unconverged = np.empty(starts.size), 0, 0
     while done < starts.size:
         end = min(starts.size, done + max(1, budget // int(counts[done])))
         col = np.arange(counts[done])
         idx = order[np.where(col < counts[done:end, None], starts[done:end, None] + col, -1)]
         corner = np.stack(np.unravel_index(labels[done:end], net.counts), axis=1)
         V, w, f, mass = batch(idx, net.anchor + (corner + 0.5) * net.mesh, 0.5 * net.mesh)
-        err = _local_errors(V, w, f, p, mass)[0][0]
+        err, _, _, converged = (x[0] for x in _local_errors(V, w, f, p, mass))
         bad = np.flatnonzero(np.isnan(err))
         if bad.size:
             _, sv, vt = np.linalg.svd(np.sqrt(w[bad])[..., None] * V[bad], full_matrices=False)
@@ -276,7 +286,9 @@ def _net_errors(cloud: WeightedPointCloud, net: Net, budget: int, batch, p: floa
             for r in set(rank.tolist()):
                 group = bad[rank == r]
                 span = V[group] @ np.swapaxes(vt[rank == r, :r], 1, 2)
-                err[group] = _local_errors(span, w[group], f[:, group], p, mass[group])[0][0]
+                fit = _local_errors(span, w[group], f[:, group], p, mass[group])
+                err[group], converged[group] = fit[0][0], fit[3][0]
         out[by_size[done:end]] = err
+        unconverged += int(np.count_nonzero(~converged))
         done = end
-    return out
+    return out, unconverged

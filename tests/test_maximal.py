@@ -157,14 +157,16 @@ class TestAgainstBruteForce:
     @pytest.mark.parametrize("sigma", [1.0, 2.0])
     def test_hl_matches_exhaustive_scan(self, dust3, interval6, cantor4_d4, sigma):
         # cantor4 and the gapped IFS have groups of many centres sharing one
-        # cube, whose average is computed once and copied.
+        # cube. The builtin clouds read summed-area tables; the gapped IFS
+        # has about N**2 grid cells, so its cubes are gathered, each group's
+        # average computed once and copied.
         gapped = build("gapped", 4)
         for cloud in (dust3, interval6, cantor4_d4, gapped):
             vals = rough_sample(cloud, seed=7)
             grid = fs.ScaleGrid.dyadic(cloud)
             got = fs.hl_maximal(cloud, vals, sigma, grid=grid).values
             want = oracles.hl_maximal(cloud, vals, sigma, grid.scales)
-            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-6
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
 
 
 class TestSharpProperties:
@@ -421,7 +423,8 @@ def assert_cubes_match_the_distance_test(cloud, scales, quota, budget):
     """Every cube ``_cubes`` yields against the brute-force Chebyshev mask."""
     pts, size = cloud.points, cloud.size
     seen = []
-    for j, first, batches in fs.maximal._cubes(cloud, scales, quota, budget):
+    rank = fs.maximal._rank_grid(cloud)
+    for j, first, batches in fs.maximal._cubes(rank, scales, quota, budget):
         t = scales[j]
         built = []
         for centres, idx in batches:
@@ -473,7 +476,7 @@ class TestSharedCubeFits:
     def test_grouping_matches_the_cubes(self, name, depth):
         cloud = build(name, depth)
         scales = fs.ScaleGrid.dyadic(cloud).scales
-        cubes = fs.maximal._cubes(cloud, scales, 1, fs.maximal.CHUNK_ELEMS)
+        cubes = fs.maximal._cubes(fs.maximal._rank_grid(cloud), scales, 1, fs.maximal.CHUNK_ELEMS)
         first = np.stack([first for _, first, _ in cubes], axis=1)
         sets = cube_sets(cloud, scales)
         for j in range(scales.size):
@@ -509,17 +512,39 @@ class TestSharedCubeFits:
             got = (runs[:, :1] <= ranks) & (ranks < runs[:, 1:])
             assert np.array_equal(got, want)
 
-    def test_each_distinct_cube_is_fitted_once(self, cantor4_d4, monkeypatch):
+    def test_each_distinct_cube_is_read_or_fitted_once(self, cantor4_d4, monkeypatch):
+        # At (k, u) = (2, 2) summed-area tables settle some cubes; every other
+        # distinct cube is fitted once, and no cube is both.
         cloud = cantor4_d4
         grid = fs.ScaleGrid.dyadic(cloud)
-        kernel = fs.maximal._local_errors
-        fitted = []
+        kernel, batches, tables = (
+            fs.maximal._local_errors, fs.maximal._fit_batches, fs.maximal._table_errors
+        )
+        fitted, gathered, settled = [], [], []
 
         def counting(V, w, f, u, mass):
             fitted.append(w.shape[0])
             return kernel(V, w, f, u, mass)
 
+        def recording(cloud, values, k):
+            budget, d, batch = batches(cloud, values, k)
+
+            def gather(idx, origin, half):
+                j = int(np.flatnonzero(grid.scales == half)[0])
+                members = (tuple(sorted(row[row < cloud.size].tolist())) for row in idx)
+                gathered.extend((j, cube) for cube in members)
+                return batch(idx, origin, half)
+
+            return budget, d, gather
+
+        def reading(*args):
+            # The last argument is the mask of cells the tables settle.
+            settled.append(args[-1])
+            return tables(*args)
+
         monkeypatch.setattr(fs.maximal, "_local_errors", counting)
+        monkeypatch.setattr(fs.maximal, "_fit_batches", recording)
+        monkeypatch.setattr(fs.maximal, "_table_errors", reading)
         vals = rough_sample(cloud)[None]
         out = fs.error_matrices(cloud, vals, 2, 2.0, grid)
         needed = fs.polyapprox.MIN_POINTS_FACTOR * 3
@@ -527,5 +552,128 @@ class TestSharedCubeFits:
         distinct = {
             (j, s[j]) for s in sets for j in range(len(grid)) if len(s[j]) >= needed
         }
-        assert sum(fitted) == len(distinct)
+        read = {(j, sets[i][j]) for i, j in zip(*np.nonzero(settled[0][0] & ~np.isnan(out[0])))}
+        assert sum(fitted) == len(gathered) == len(set(gathered))
+        assert read and gathered and not read & set(gathered)
+        assert read | set(gathered) == distinct
         assert sum(fitted) < np.count_nonzero(~np.isnan(out))
+
+
+class TestBoxSums:
+    """Summed-area tables against the gather path, forced by the grid gate.
+
+    NaN patterns agree exactly, values to 1e-10 relative plus the zero
+    clamp's floor: the tables keep a u = 2 error only where its rounding
+    bound puts it within BOX_RTOL / 2 of exact, and an hl average only where
+    its own bound does.
+    """
+
+    CLOUDS = ("dust3", "interval6", "cantor4_d4", "square3", "carpet2")
+    FUNCTIONS = ("cusp_beta060", "quad_cross", "ripple")
+
+    @staticmethod
+    def fitted_cells(monkeypatch, call):
+        """call()'s result and the cells it sent to the kernel."""
+        kernel, fitted = fs.maximal._local_errors, []
+
+        def counting(V, w, f, u, mass):
+            fitted.append(w.shape[0])
+            return kernel(V, w, f, u, mass)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(fs.maximal, "_local_errors", counting)
+            return call(), sum(fitted)
+
+    @staticmethod
+    def gathered(monkeypatch, call):
+        with monkeypatch.context() as patched:
+            patched.setattr(fs.maximal, "GRID_CELLS_PER_POINT", 0)
+            return call()
+
+    @staticmethod
+    def assert_agree(got, want, vals):
+        floor = 2.0 * fs.polyapprox.CLAMP_REL * np.abs(vals).max(axis=1)[:, None, None]
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        gap = np.abs(got - want) - 1e-10 * np.abs(want) - floor
+        assert np.nanmax(gap) <= 0.0, float(np.nanmax(gap))
+
+    @pytest.mark.parametrize("name,depth", BUILTIN_DEPTHS + [("gapped", 4)])
+    def test_the_gate_passes_the_builtin_grids_only(self, name, depth):
+        # The builtin clouds have at most 2 grid cells per point, the gapped
+        # IFS about N.
+        cloud = build(name, depth)
+        layout = fs.maximal._table_layout(fs.maximal._rank_grid(cloud))
+        assert (layout is None) == (name == "gapped")
+
+    @pytest.mark.parametrize("name", CLOUDS)
+    def test_matches_the_gather_path(self, request, monkeypatch, name):
+        cloud = request.getfixturevalue(name)
+        battery = [fs.sample(tf, cloud).values for tf in fs.battery(cloud)
+                   if tf.name in self.FUNCTIONS]
+        vals = np.stack([rough_sample(cloud)] + battery)
+        grid = fs.ScaleGrid.dyadic(cloud)
+        for k in (1, 2):
+            def matrices():
+                return fs.error_matrices(cloud, vals, k, 2.0, grid)
+
+            got, fits = self.fitted_cells(monkeypatch, matrices)
+            want, all_fits = self.gathered(
+                monkeypatch, lambda: self.fitted_cells(monkeypatch, matrices)
+            )
+            self.assert_agree(got, want, vals)
+            assert fits < all_fits, k
+
+        def hl():
+            return fs.hl_maximal(cloud, vals[0], 1.0, grid).values
+
+        got, want = hl(), self.gathered(monkeypatch, hl)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("steep", [False, True])
+    def test_hl_matches_the_gather_path_on_a_large_cloud(self, monkeypatch, steep):
+        # 4,096 points in 2-D, where a box sum's prefix sums can reach about N
+        # times its own sum. Under exp(-12 (x + y)) they reach far more on
+        # cubes away from the origin, and the guard must gather those cubes.
+        cloud = fs.build_cloud(fs.generator_spec("carpet"), 4)
+        assert cloud.size >= 4096 and cloud.ambient_dim == 2
+        p = cloud.points
+        vals = np.exp(-12.0 * p.sum(axis=1)) if steep else rough_sample(cloud)
+        grid = fs.ScaleGrid.dyadic(cloud)
+        cubes, gathered = fs.maximal._cubes, []
+
+        def counting(*args):
+            for j, first, batches in cubes(*args):
+                yield j, first, (gathered.append(c.size) or (c, idx) for c, idx in batches)
+
+        def hl():
+            return fs.hl_maximal(cloud, vals, 1.0, grid).values
+
+        with monkeypatch.context() as patched:
+            patched.setattr(fs.maximal, "_cubes", counting)
+            got = hl()
+        want = self.gathered(monkeypatch, hl)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+        assert (sum(gathered) > 0) == steep
+
+    @pytest.mark.parametrize("k,trend", [(1, False), (2, False), (2, True)])
+    def test_a_large_offset_or_trend_sends_cells_to_the_gather_path(
+        self, cantor4_d4, monkeypatch, k, trend
+    ):
+        # A large constant offset: the tables see f about its mean, but the
+        # kernel's zero clamp scales with max|f|, so errors near it must be
+        # fitted. A steep linear trend, which the k = 2 fit removes, leaves
+        # the cube moments to cancel, and the rounding bound must refuse them.
+        cloud = cantor4_d4
+        grid = fs.ScaleGrid.dyadic(cloud)
+        base = rough_sample(cloud)[None]
+        added = 1e6 * cloud.points[:, 0] if trend else 1e10
+        fits = []
+        for vals in (base, base + added):
+            def matrices():
+                return fs.error_matrices(cloud, vals, k, 2.0, grid)
+
+            got, fit = self.fitted_cells(monkeypatch, matrices)
+            want = self.gathered(monkeypatch, matrices)
+            self.assert_agree(got, want, vals)
+            fits.append(fit)
+        assert fits[1] > fits[0]

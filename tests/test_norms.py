@@ -22,7 +22,7 @@ def net_cell_errors(cloud, vals, alpha, p, nu):
     """The net route's L^p error on each occupied level-nu cell, by cell label."""
     k = fs.degree_for_flat(alpha)
     budget, _, batch = fs.maximal._fit_batches(cloud, np.asarray(vals)[None], k)
-    return fs.norms._net_errors(cloud, fs.dyadic_net(nu, cloud.bbox), budget, batch, p)
+    return fs.norms._net_errors(cloud, fs.dyadic_net(nu, cloud.bbox), budget, batch, p)[0]
 
 
 def lstsq_error(V, w, fv, p):
@@ -226,6 +226,14 @@ class TestNetBesovNorm:
         )
         assert moved.seminorm != base.seminorm
         assert 0.2 <= moved.seminorm / base.seminorm <= 5.0
+
+    def test_unconverged_fits_are_counted(self, cantor4_d4):
+        # At p = 1 some quadratic fits stop at the reweighting step cap; at
+        # p = 2 every fit is closed-form.
+        vals = battery_cusp(cantor4_d4)
+        for p, some in ((1.0, True), (2.0, False)):
+            res = fs.besov_net_norm(cantor4_d4, vals, 2.5, p, 2.0, levels=range(6))
+            assert (res.unconverged > 0) == some, p
 
     def test_parameter_validation(self, dust3):
         vals = cusp_sample(dust3)
