@@ -4,181 +4,30 @@ Build weighted point clouds from iterated function systems, approximate
 functions by local polynomials in weighted L^u, form fractional sharp
 maximal functions, assemble Calderon- and Besov-type norms, and verify the
 expected inequalities between all of these with budgeted constants.
+
+Each module declares its public names in its own ``__all__``; the package
+re-exports all of them.
 """
-from .errors import (
-    BudgetExceeded,
-    EmptyCube,
-    EmptyGrid,
-    EmptyRatios,
-    FrakspaceError,
-    NonFiniteValue,
-    NonpositiveAlpha,
-    OutOfRange,
-    RankDeficient,
-    ScaleTooFine,
-    TooFewPoints,
-    UnknownGenerator,
-)
-from .functions import (
-    TestFunction,
-    battery,
-    battery_table,
-    holder_cusp,
-    lacunary_series,
-    sample,
-    steep_sigmoid,
-)
-from .geometry import Cube, Net, dyadic_net, restrict
-from .maximal import (
-    GridFunction,
-    ScaleGrid,
-    approx_error_matrix,
-    degree_for_flat,
-    error_matrices,
-    degree_for_sharp,
-    hl_maximal,
-    sharp_maximal,
-)
-from .measure import (
-    BUILTIN_GENERATORS,
-    DEFAULT_POINT_BUDGET,
-    AhlforsReport,
-    IfsSpec,
-    WeightedPointCloud,
-    ahlfors_constants,
-    build_cloud,
-    cantor_dust,
-    generator_spec,
-    load_ifs,
-    moran_dimension,
-    sierpinski_carpet,
-    unit_interval,
-    unit_square,
-)
-from .norms import (
-    NetBesovResult,
-    NormReport,
-    besov_net_norm,
-    besov_norm,
-    calderon_norm,
-    lp_norm,
-    scale_profile,
-)
-from .polyapprox import (
-    ApproxResult,
-    Polynomial,
-    Projector,
-    apply_projector,
-    basis_size,
-    best_approx,
-    fit_in_span,
-    make_projector,
-    monomial_matrix,
-    multi_indices,
-    reverse_holder_ratio,
-    sup_bound_ratio,
-    uniform_bound,
-)
-from .verify import (
-    DEFAULT_BUDGETS,
-    CheckResult,
-    MatrixCache,
-    RunConfig,
-    Witness,
-    check_ahlfors,
-    check_embedding_chain,
-    check_monotonicity,
-    check_poincare,
-    check_reverse_holder,
-    check_sharp_equivalence,
-    check_sobolev_embedding,
-    poincare_sigma,
-    run_all,
-    sobolev_exponent,
-)
+from . import errors, functions, geometry, maximal, measure, norms, polyapprox, verify
+from .errors import *  # noqa: F401,F403
+from .functions import *  # noqa: F401,F403
+from .geometry import *  # noqa: F401,F403
+from .maximal import *  # noqa: F401,F403
+from .measure import *  # noqa: F401,F403
+from .norms import *  # noqa: F401,F403
+from .polyapprox import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "FrakspaceError",
-    "EmptyRatios",
-    "OutOfRange",
-    "UnknownGenerator",
-    "BudgetExceeded",
-    "ScaleTooFine",
-    "TooFewPoints",
-    "RankDeficient",
-    "EmptyCube",
-    "NonpositiveAlpha",
-    "EmptyGrid",
-    "NonFiniteValue",
-    "IfsSpec",
-    "WeightedPointCloud",
-    "AhlforsReport",
-    "moran_dimension",
-    "build_cloud",
-    "ahlfors_constants",
-    "cantor_dust",
-    "sierpinski_carpet",
-    "unit_square",
-    "unit_interval",
-    "generator_spec",
-    "load_ifs",
-    "BUILTIN_GENERATORS",
-    "DEFAULT_POINT_BUDGET",
-    "Cube",
-    "Net",
-    "dyadic_net",
-    "restrict",
-    "Polynomial",
-    "ApproxResult",
-    "Projector",
-    "multi_indices",
-    "basis_size",
-    "monomial_matrix",
-    "fit_in_span",
-    "make_projector",
-    "apply_projector",
-    "sup_bound_ratio",
-    "uniform_bound",
-    "best_approx",
-    "reverse_holder_ratio",
-    "GridFunction",
-    "ScaleGrid",
-    "degree_for_sharp",
-    "degree_for_flat",
-    "error_matrices",
-    "approx_error_matrix",
-    "sharp_maximal",
-    "hl_maximal",
-    "NormReport",
-    "NetBesovResult",
-    "lp_norm",
-    "calderon_norm",
-    "besov_norm",
-    "besov_net_norm",
-    "scale_profile",
-    "TestFunction",
-    "battery",
-    "battery_table",
-    "holder_cusp",
-    "lacunary_series",
-    "steep_sigmoid",
-    "sample",
-    "Witness",
-    "CheckResult",
-    "RunConfig",
-    "MatrixCache",
-    "DEFAULT_BUDGETS",
-    "poincare_sigma",
-    "sobolev_exponent",
-    "check_monotonicity",
-    "check_poincare",
-    "check_sharp_equivalence",
-    "check_embedding_chain",
-    "check_sobolev_embedding",
-    "check_reverse_holder",
-    "check_ahlfors",
-    "run_all",
+    *errors.__all__,
+    *functions.__all__,
+    *geometry.__all__,
+    *maximal.__all__,
+    *measure.__all__,
+    *norms.__all__,
+    *polyapprox.__all__,
+    *verify.__all__,
 ]

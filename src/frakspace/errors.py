@@ -1,5 +1,20 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "FrakspaceError",
+    "EmptyRatios",
+    "OutOfRange",
+    "UnknownGenerator",
+    "BudgetExceeded",
+    "ScaleTooFine",
+    "TooFewPoints",
+    "RankDeficient",
+    "EmptyCube",
+    "NonpositiveAlpha",
+    "EmptyGrid",
+    "NonFiniteValue",
+]
+
 
 class FrakspaceError(Exception):
     """Base class for all package-specific errors."""

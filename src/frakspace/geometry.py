@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange, ScaleTooFine
+from .errors import OutOfRange
 from .measure import WeightedPointCloud
 
 __all__ = ["Cube", "Net", "restrict", "dyadic_net"]
@@ -116,19 +116,15 @@ def dyadic_net(
     level: int,
     bbox: tuple[np.ndarray, np.ndarray],
     offset: np.ndarray | None = None,
-    min_mesh: float = 0.0,
 ) -> Net:
     """Net of side 2**-level cubes covering ``bbox``.
 
     ``offset`` (each entry in [0, 1)) shifts the anchor by a fraction of the
-    mesh for sensitivity studies. ``min_mesh`` rejects meshes finer than the
-    caller's resolution threshold.
+    mesh for sensitivity studies.
     """
     if level < 0:
         raise OutOfRange(f"level must be >= 0, got {level}")
     mesh = 2.0**-level
-    if mesh < min_mesh:
-        raise ScaleTooFine(f"mesh {mesh} below minimum {min_mesh}")
     lo = np.asarray(bbox[0], dtype=float).ravel()
     hi = np.asarray(bbox[1], dtype=float).ravel()
     if lo.shape != hi.shape or np.any(hi < lo):

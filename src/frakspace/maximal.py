@@ -55,6 +55,7 @@ from .polyapprox import (  # noqa: F401
     RANK_RTOL_SV,
     _local_errors,
     _vandermonde,
+    basis_size,
     fit_in_span,
     multi_indices,
     point_quota,
@@ -105,7 +106,7 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class ScaleGrid:
-    """Decreasing dyadic scales t_nu = diam * 2**-nu, nu = nu_min..nu_max."""
+    """Decreasing dyadic scales t_nu = diam * 2**-nu over increasing levels nu."""
 
     scales: np.ndarray
     levels: np.ndarray
@@ -135,13 +136,10 @@ class ScaleGrid:
         cloud: WeightedPointCloud,
         factor: float = 4.0,
         nu_max: int | None = None,
-        nu_min: int = 0,
     ) -> "ScaleGrid":
         """All levels whose scale stays above factor * resolution_scale."""
         if not 0.0 < factor < math.inf:
             raise OutOfRange(f"factor must be finite and positive, got {factor}")
-        if nu_min < 0:
-            raise OutOfRange(f"nu_min must be >= 0, got {nu_min}")
         floor_scale = factor * cloud.resolution_scale
         auto_max = int(math.floor(math.log2(cloud.diam / floor_scale) + 1e-9))
         if nu_max is None:
@@ -151,11 +149,9 @@ class ScaleGrid:
                 f"nu_max={nu_max} finer than admissible level {auto_max} "
                 f"(factor {factor} x resolution scale)"
             )
-        if nu_max < nu_min:
-            raise ScaleTooFine(
-                f"no admissible scales: nu_max={nu_max} < nu_min={nu_min}"
-            )
-        levels = np.arange(nu_min, nu_max + 1)
+        if nu_max < 0:
+            raise ScaleTooFine(f"no admissible scales: nu_max={nu_max} < 0")
+        levels = np.arange(nu_max + 1)
         return cls(
             scales=cloud.diam * 2.0 ** -levels.astype(float),
             levels=levels,
@@ -511,7 +507,7 @@ def _table_errors(cloud: WeightedPointCloud, layout, values: np.ndarray, k: int,
 
 
 def _fit_batches(cloud: WeightedPointCloud, values: np.ndarray, k: int):
-    """The batch budget, basis size and batch builder for fits of ``values`` [F, N].
+    """The batch budget and batch builder for fits of ``values`` [F, N].
 
     ``batch(idx, origin, half)`` gathers cells idx[L, W], padded with the
     index N, into the kernel's arguments (V, w, f, mass): V is the design in
@@ -535,7 +531,11 @@ def _fit_batches(cloud: WeightedPointCloud, values: np.ndarray, k: int):
             V = _vandermonde(z.reshape(-1, n), exps).reshape(idx.shape + (-1,))
         return V, w, np.take(vals, idx, axis=1), w.sum(axis=1)
 
-    return budget, exps.shape[0], batch
+    return budget, batch
+
+
+def _no_scale(point: int, needed: int, k: int) -> TooFewPoints:
+    return TooFewPoints(f"point {point} admits no scale with {needed} points for k={k}")
 
 
 def error_matrices(
@@ -570,8 +570,12 @@ def error_matrices(
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != cloud.size:
         raise OutOfRange("function sample count does not match the cloud")
-    budget, d, batch = _fit_batches(cloud, values, k)
-    needed = point_quota(d)
+    # No cube holds more points than the cloud, so refuse a k that needs more
+    # before listing the basis exponents, which takes time growing with k.
+    needed = point_quota(basis_size(cloud.ambient_dim, k))
+    if needed > cloud.size:
+        raise _no_scale(0, needed, k)
+    budget, batch = _fit_batches(cloud, values, k)
     rank = _rank_grid(cloud)
     out = np.full((values.shape[0], cloud.size, len(grid)), np.nan)
     settled = np.zeros(out.shape, dtype=bool)
@@ -591,10 +595,7 @@ def error_matrices(
         out[:, :, j] = out[:, first, j]
     skipped = np.isnan(out).all(axis=2).any(axis=0)
     if skipped.any():
-        raise TooFewPoints(
-            f"point {int(np.argmax(skipped))} admits no scale with {needed} "
-            f"points for k={k}"
-        )
+        raise _no_scale(int(np.argmax(skipped)), needed, k)
     return out
 
 

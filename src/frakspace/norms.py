@@ -232,7 +232,7 @@ def besov_net_norm(
     levels = [int(v) for v in levels]
     if not levels:
         raise OutOfRange("need at least one net level")
-    budget, _, batch = _fit_batches(cloud, cloud.values_of(f)[None], degree_for_flat(alpha))
+    budget, batch = _fit_batches(cloud, cloud.values_of(f)[None], degree_for_flat(alpha))
     terms, unconverged = [], 0
     for nu in levels:
         net = dyadic_net(nu, cloud.bbox, offset=offset)

@@ -8,6 +8,12 @@ between consecutive depths with a factor-2 budget. Cube batteries are drawn
 with common random numbers per generator, so constants at different depths
 are comparable.
 
+The checks run at one parameter choice, the module constants from
+``SCALE_FACTOR`` to ``AHLFORS_SCALES`` below (degrees k, inner exponents u,
+smoothness alpha, norm exponents p), which the acceptance gate pins. A
+``RunConfig`` picks the rest: generators and depths, seed, how many cubes
+each sampling check draws, which battery functions enter, and budgets.
+
 ``run_all`` works cloud by cloud. ``_needs`` lists the error matrices the
 checks read; they are united by (k, u) and fetched with one kernel call per
 (k, u), so the checks only hit the cache. ``_observe`` then calls each
@@ -89,6 +95,16 @@ DIRECT_CHECKS = frozenset(
     {"ahlfors_ratio", "embedding_perscale", "monotonicity", "sharp_equivalence_left"}
 )
 
+# The checks' parameters (see the module docstring), each written once here.
+SCALE_FACTOR = 4.0  # scale floor and cube window, in resolution scales
+MONO_DEGREES, MONO_EXPONENTS = (1, 2), (1.0, 2.0, 3.0)
+POINCARE_ALPHA, POINCARE_Q = 0.5, 2.0
+SHARP_ALPHA, SHARP_EXPONENTS, SHARP_NORM_P = 0.5, (1.0, 2.0, 4.0), 4.0
+EMBEDDING_ALPHAS, EMBEDDING_P = (0.7, 1.3, 1.0), 2.0
+SOBOLEV_K, SOBOLEV_P = 1, 1.0
+REVHOLDER_DEGREE, REVHOLDER_PAIRS = 2, ((4.0, 1.0), (2.0, 1.0))
+AHLFORS_SCALES = 6
+
 # Tags mixed into per-check random seeds so draws are independent between
 # checks yet identical across depths of one generator.
 _TAG_MONO, _TAG_POINCARE, _TAG_REVHOLDER, _TAG_AHLFORS = 11, 12, 13, 14
@@ -165,14 +181,13 @@ class MatrixCache:
     cross-check inequalities exact rather than statistical.
     """
 
-    def __init__(self, factor: float = 4.0):
-        self.factor = factor
+    def __init__(self):
         self._grids: dict[int, tuple[WeightedPointCloud, ScaleGrid]] = {}
         self._matrices: dict[tuple, tuple[object, np.ndarray]] = {}
 
     def grid(self, cloud: WeightedPointCloud) -> ScaleGrid:
         if id(cloud) not in self._grids:
-            grid = ScaleGrid.dyadic(cloud, factor=self.factor)
+            grid = ScaleGrid.dyadic(cloud, factor=SCALE_FACTOR)
             self._grids[id(cloud)] = (cloud, grid)
         return self._grids[id(cloud)][1]
 
@@ -204,7 +219,10 @@ class MatrixCache:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a verification run depends on, seed included."""
+    """What a verification run may change: clouds, seed, draws, functions, budgets.
+
+    The checks' own parameters are the module constants, not fields.
+    """
 
     generators: tuple = (
         ("cantor4", (3, 4, 5)),
@@ -213,25 +231,10 @@ class RunConfig:
         ("carpet", (2,)),
     )
     seed: int = 0
-    scale_factor: float = 4.0
     mono_pairs: int = 500
-    mono_degrees: tuple = (1, 2)
-    mono_exponents: tuple = (1.0, 2.0, 3.0)
     poincare_samples: int = 40
-    poincare_alpha: float = 0.5
-    poincare_q: float = 2.0
-    sharp_alpha: float = 0.5
-    sharp_exponents: tuple = (1.0, 2.0, 4.0)
-    sharp_norm_p: float = 4.0
-    embedding_alphas: tuple = (0.7, 1.3, 1.0)
-    embedding_p: float = 2.0
-    sobolev_k: int = 1
-    sobolev_p: float = 1.0
-    revholder_degree: int = 2
-    revholder_pairs: tuple = ((4.0, 1.0), (2.0, 1.0))
     revholder_trials: int = 24
     ahlfors_samples: int = 64
-    ahlfors_scales: int = 6
     check_functions: tuple = (
         "linear_axis",
         "quad_axis",
@@ -297,9 +300,9 @@ def _check_rng(seed: int, tag: int, gen_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, tag, gen_index]))
 
 
-def _radius_window(cloud: WeightedPointCloud, factor: float) -> tuple[float, float]:
+def _radius_window(cloud: WeightedPointCloud) -> tuple[float, float]:
     """Log-uniform sampling window for cube half-sides on this cloud."""
-    lo = factor * cloud.resolution_scale
+    lo = SCALE_FACTOR * cloud.resolution_scale
     hi = max(cloud.diam / 4.0, 2.0 * lo)
     hi = min(hi, 0.99 * cloud.diam)
     if hi <= lo:
@@ -322,8 +325,6 @@ def check_monotonicity(
     rng: np.random.Generator,
     pairs: int,
     window: tuple[float, float] | None = None,
-    degrees: tuple = (1, 2),
-    exponents: tuple = (1.0, 2.0, 3.0),
     generator: str = "?",
 ):
     """Nested cubes: the raw error on the inner cube never exceeds the outer.
@@ -333,7 +334,7 @@ def check_monotonicity(
     which is only controlled by the doubling behaviour of the measure and
     is tracked for depth stability rather than against a tight budget.
     """
-    lo, hi = window or _radius_window(cloud, 4.0)
+    lo, hi = window or _radius_window(cloud)
     draws = 3 * pairs
     centers, inner_r = _random_cubes(cloud, rng, draws, lo, max(hi / 2.2, lo * 1.01))
     expand_fracs = rng.random(draws)
@@ -346,8 +347,8 @@ def check_monotonicity(
         if evaluated >= pairs:
             break
         gf = funcs[j % len(funcs)]
-        k = degrees[j % len(degrees)]
-        u = exponents[j % len(exponents)]
+        k = MONO_DEGREES[j % len(MONO_DEGREES)]
+        u = MONO_EXPONENTS[j % len(MONO_EXPONENTS)]
         c_out = centers[j]
         shift = (2.0 * offset_fracs[j] - 1.0) * (outer_r[j] - inner_r[j])
         outer = Cube(c_out, float(outer_r[j]))
@@ -372,10 +373,7 @@ def check_monotonicity(
         params = f"k={k},u={u!r},r_in={float(inner_r[j])!r},r_out={float(outer_r[j])!r}"
         worst.offer(ratio, gf.name, params)
         if value_in > 0.0 and res_out.value > 0.0:
-            _, mass_out = restrict(cloud, outer)
-            reg = (value_in / mass_in ** (1.0 / u)) / (
-                res_out.value / mass_out ** (1.0 / u)
-            )
+            reg = (value_in / mass_in ** (1.0 / u)) / res_out.normalized
             regularity = max(regularity, reg)
     return worst.value, regularity, worst.witnesses, evaluated
 
@@ -402,7 +400,7 @@ def check_poincare(
     sigma = poincare_sigma(q, alpha, cloud.s)
     k = degree_for_sharp(alpha)
     centers, radii = _random_cubes(
-        cloud, rng, 3 * samples, *(window or _radius_window(cloud, 4.0))
+        cloud, rng, 3 * samples, *(window or _radius_window(cloud))
     )
 
     worst = _Worst(generator, cloud.depth)
@@ -565,7 +563,7 @@ def check_reverse_holder(
     n = cloud.ambient_dim
     exps = np.asarray(multi_indices(n, degree), dtype=int)
     centers, radii = _random_cubes(
-        cloud, rng, trials, *(window or _radius_window(cloud, 4.0))
+        cloud, rng, trials, *(window or _radius_window(cloud))
     )
     coeffs = rng.standard_normal((trials, exps.shape[0]))
 
@@ -590,7 +588,7 @@ def check_ahlfors(
     generator: str = "?",
 ):
     """Spread between the extreme normalized ball masses."""
-    lo, hi = _radius_window(cloud, 4.0)
+    lo, hi = _radius_window(cloud)
     scales = np.geomspace(lo, hi, nscales)
     report = ahlfors_constants(cloud, samples=samples, scales=scales, rng=seed)
     witness = Witness(
@@ -640,17 +638,14 @@ def _stability(families: dict) -> tuple[float, list[Witness], dict, int]:
     return worst, witnesses, tables, compared
 
 
-def _needs(config: RunConfig, cloud: WeightedPointCloud, check_funcs, sharp_funcs):
+def _needs(cloud: WeightedPointCloud, check_funcs, sharp_funcs):
     """Every (functions, k, u) whose error matrices the checks read on a cloud."""
-    needs = [(check_funcs, degree_for_sharp(config.poincare_alpha), 1.0)]
-    k = degree_for_sharp(config.sharp_alpha)
-    needs += [(sharp_funcs, k, u) for u in config.sharp_exponents]
-    needs += [
-        (check_funcs, degree_for_flat(alpha), config.embedding_p)
-        for alpha in config.embedding_alphas
-    ]
-    if config.sobolev_k * config.sobolev_p < cloud.s:
-        needs.append((check_funcs, config.sobolev_k, 1.0))
+    needs = [(check_funcs, degree_for_sharp(POINCARE_ALPHA), 1.0)]
+    k = degree_for_sharp(SHARP_ALPHA)
+    needs += [(sharp_funcs, k, u) for u in SHARP_EXPONENTS]
+    needs += [(check_funcs, degree_for_flat(a), EMBEDDING_P) for a in EMBEDDING_ALPHAS]
+    if SOBOLEV_K * SOBOLEV_P < cloud.s:
+        needs.append((check_funcs, SOBOLEV_K, 1.0))
     return needs
 
 
@@ -668,8 +663,6 @@ def _observe(config, cache, gen_index, name, cloud, window, quota, funcs, checke
         _check_rng(config.seed, _TAG_MONO, gen_index),
         quota,
         window,
-        config.mono_degrees,
-        config.mono_exponents,
         generator=name,
     )
     yield "monotonicity", None, worst, wits, n
@@ -681,46 +674,30 @@ def _observe(config, cache, gen_index, name, cloud, window, quota, funcs, checke
         cache,
         _check_rng(config.seed, _TAG_POINCARE, gen_index),
         config.poincare_samples,
-        config.poincare_alpha,
-        config.poincare_q,
+        POINCARE_ALPHA,
+        POINCARE_Q,
         window,
         generator=name,
     )
     yield "poincare_stability", "poincare", worst, wits, n
 
     left, right, wits = check_sharp_equivalence(
-        cloud,
-        sharp,
-        cache,
-        config.sharp_alpha,
-        config.sharp_exponents,
-        config.sharp_norm_p,
-        generator=name,
+        cloud, sharp, cache, SHARP_ALPHA, SHARP_EXPONENTS, SHARP_NORM_P, generator=name
     )
-    n = len(sharp) * max(len(config.sharp_exponents) - 1, 0)
+    n = len(sharp) * (len(SHARP_EXPONENTS) - 1)
     yield "sharp_equivalence_left", None, left, wits, n
     yield "sharp_equivalence_right_stability", "right", right, [], n
 
     perscale, r1, r2, wits = check_embedding_chain(
-        cloud,
-        checked,
-        cache,
-        config.embedding_alphas,
-        config.embedding_p,
-        generator=name,
+        cloud, checked, cache, EMBEDDING_ALPHAS, EMBEDDING_P, generator=name
     )
-    n = len(checked) * len(config.embedding_alphas)
+    n = len(checked) * len(EMBEDDING_ALPHAS)
     yield "embedding_perscale", None, perscale, wits, n
     yield "embedding_stability", "R1", r1, [], n
     yield "embedding_stability", "R2", r2, [], n
 
     sob = check_sobolev_embedding(
-        cloud,
-        checked,
-        cache,
-        config.sobolev_k,
-        config.sobolev_p,
-        generator=name,
+        cloud, checked, cache, SOBOLEV_K, SOBOLEV_P, generator=name
     )
     if sob is not None:
         yield "sobolev_stability", "sobolev", sob[0], sob[1], len(checked)
@@ -728,19 +705,19 @@ def _observe(config, cache, gen_index, name, cloud, window, quota, funcs, checke
     worst, wits = check_reverse_holder(
         cloud,
         _check_rng(config.seed, _TAG_REVHOLDER, gen_index),
-        config.revholder_degree,
-        config.revholder_pairs,
+        REVHOLDER_DEGREE,
+        REVHOLDER_PAIRS,
         config.revholder_trials,
         window,
         generator=name,
     )
-    n = config.revholder_trials * len(config.revholder_pairs)
+    n = config.revholder_trials * len(REVHOLDER_PAIRS)
     yield "reverse_holder_stability", "reverse_holder", worst, wits, n
 
     report, wit = check_ahlfors(
         cloud,
         config.ahlfors_samples,
-        config.ahlfors_scales,
+        AHLFORS_SCALES,
         config.seed + _TAG_AHLFORS + gen_index,
         generator=name,
     )
@@ -772,20 +749,18 @@ def run_all(config: RunConfig) -> list[CheckResult]:
     quota = max(1, -(-config.mono_pairs // len(clouds)))
     # Cube radii of every depth of a generator come from its coarsest cloud.
     windows: dict[int, tuple[float, float]] = {}
-    cache = MatrixCache(factor=config.scale_factor)
+    cache = MatrixCache()
     # check -> (worst value, its witnesses, items evaluated)
     direct: dict[str, tuple[float, list[Witness], int]] = {}
     # check -> label -> generator -> depth -> constant
     constants: dict[str, dict[str, dict[str, dict[int, float]]]] = {}
     for gen_index, name, cloud in clouds:
-        window = windows.setdefault(
-            gen_index, _radius_window(cloud, config.scale_factor)
-        )
+        window = windows.setdefault(gen_index, _radius_window(cloud))
         by_name = {tf.name: sample(tf, cloud) for tf in battery(cloud, seed=config.seed)}
         checked = [by_name[n] for n in config.check_functions]
         sharp = [by_name[n] for n in config.sharp_functions]
         by_ku: dict[tuple[int, float], dict] = {}
-        for funcs, k, u in _needs(config, cloud, checked, sharp):
+        for funcs, k, u in _needs(cloud, checked, sharp):
             by_ku.setdefault((int(k), float(u)), {}).update((id(gf), gf) for gf in funcs)
         for (k, u), group in by_ku.items():
             cache.matrices(cloud, list(group.values()), k, u)

@@ -212,6 +212,14 @@ class TestVerify:
         assert err.count("error:") == 1 and field in err
         assert not (tmp_path / "verdict.txt").exists()
 
+    def test_check_parameter_key_fails_at_once(self, tmp_path, capsys):
+        # The checks' parameters are constants; a config naming one is refused
+        # before any cloud is built.
+        cfg = write_config(tmp_path, {"generators": [["interval", [6]]], "sharp_alpha": 1e6})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "unknown config keys: ['sharp_alpha']" in capsys.readouterr().err
+        assert not (tmp_path / "verdict.txt").exists()
+
     def test_malformed_json_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -93,11 +93,6 @@ class TestNet:
         cells = shifted.assign(np.array([[0.0], [0.999], [0.51]]))
         assert cells.min() >= 0
 
-    def test_min_mesh_guard(self):
-        bbox = (np.zeros(1), np.ones(1))
-        with pytest.raises(fs.ScaleTooFine):
-            fs.dyadic_net(6, bbox, min_mesh=0.1)
-
     def test_single_cell_net(self):
         bbox = (np.zeros(2), np.full(2, 0.6))
         net = fs.dyadic_net(0, bbox)

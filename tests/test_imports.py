@@ -6,6 +6,7 @@ An import statement whose first line carries ``# noqa: F401`` is allowed: a
 name kept importable for code that reaches it by module attribute.
 """
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -46,3 +47,17 @@ def test_guard_sees_unused_and_marked_imports():
         "print(math.pi, sep)\n"
     )
     assert unused_imports(source) == ["path"]
+
+
+def test_package_reexports_each_module_all():
+    # Each public name is declared once, in its module's __all__.
+    import frakspace
+
+    names = ["__version__"]
+    for path in MODULES:
+        if path.name != "cli.py":
+            names += importlib.import_module(f"frakspace.{path.stem}").__all__
+    assert sorted(frakspace.__all__) == sorted(names)
+    assert len(set(names)) == len(names)
+    for name in names:
+        getattr(frakspace, name)

@@ -59,12 +59,12 @@ class TestScaleGrid:
             fs.ScaleGrid.dyadic(interval6, nu_max=5)
 
     def test_window_restriction(self, interval6):
-        grid = fs.ScaleGrid.dyadic(interval6, nu_min=2, nu_max=3)
-        assert list(grid.levels) == [2, 3]
+        grid = fs.ScaleGrid.dyadic(interval6, nu_max=3)
+        assert list(grid.levels) == [0, 1, 2, 3]
 
     def test_empty_window_rejected(self, interval6):
         with pytest.raises(fs.ScaleTooFine):
-            fs.ScaleGrid.dyadic(interval6, nu_min=5)
+            fs.ScaleGrid.dyadic(interval6, nu_max=-1)
 
     def test_scales_must_decrease(self):
         with pytest.raises(fs.OutOfRange):
@@ -278,6 +278,17 @@ class TestErrorMatrix:
         grid = fs.ScaleGrid.dyadic(interval6)
         out = fs.approx_error_matrix(interval6, rough_sample(interval6), 2, 2.0, grid)
         assert out.shape == (64, 5)
+
+    def test_impossible_degree_refused_before_the_basis(self, interval6, monkeypatch):
+        # k = 10**6 needs more points than the cloud holds, so it is refused
+        # before its basis exponents, whose listing takes time growing with k.
+        def unreachable(*args):
+            raise AssertionError("basis exponents listed for an impossible degree")
+
+        monkeypatch.setattr(fs.maximal, "multi_indices", unreachable)
+        grid = fs.ScaleGrid.dyadic(interval6)
+        with pytest.raises(fs.TooFewPoints, match=r"point 0 admits no scale .* k=1000000"):
+            fs.error_matrices(interval6, rough_sample(interval6)[None], 10**6, 1.0, grid)
 
 
 class TestHlProperties:
@@ -527,7 +538,7 @@ class TestSharedCubeFits:
             return kernel(V, w, f, u, mass)
 
         def recording(cloud, values, k):
-            budget, d, batch = batches(cloud, values, k)
+            budget, batch = batches(cloud, values, k)
 
             def gather(idx, origin, half):
                 j = int(np.flatnonzero(grid.scales == half)[0])
@@ -535,7 +546,7 @@ class TestSharedCubeFits:
                 gathered.extend((j, cube) for cube in members)
                 return batch(idx, origin, half)
 
-            return budget, d, gather
+            return budget, gather
 
         def reading(*args):
             # The last argument is the mask of cells the tables settle.

@@ -21,7 +21,7 @@ def battery_cusp(cloud):
 def net_cell_errors(cloud, vals, alpha, p, nu):
     """The net route's L^p error on each occupied level-nu cell, by cell label."""
     k = fs.degree_for_flat(alpha)
-    budget, _, batch = fs.maximal._fit_batches(cloud, np.asarray(vals)[None], k)
+    budget, batch = fs.maximal._fit_batches(cloud, np.asarray(vals)[None], k)
     return fs.norms._net_errors(cloud, fs.dyadic_net(nu, cloud.bbox), budget, batch, p)[0]
 
 

@@ -91,6 +91,44 @@ class TestRunConfig:
         with pytest.raises(fs.OutOfRange):
             fs.RunConfig.from_dict({"mono_paris": 10})
 
+    def test_fields_are_what_a_run_may_change(self):
+        assert list(fs.RunConfig.__dataclass_fields__) == [
+            "generators",
+            "seed",
+            "mono_pairs",
+            "poincare_samples",
+            "revholder_trials",
+            "ahlfors_samples",
+            "check_functions",
+            "sharp_functions",
+            "budget_overrides",
+        ]
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "scale_factor",
+            "mono_degrees",
+            "mono_exponents",
+            "poincare_alpha",
+            "poincare_q",
+            "sharp_alpha",
+            "sharp_exponents",
+            "sharp_norm_p",
+            "embedding_alphas",
+            "embedding_p",
+            "sobolev_k",
+            "sobolev_p",
+            "revholder_degree",
+            "revholder_pairs",
+            "ahlfors_scales",
+        ],
+    )
+    def test_check_parameters_are_not_config_keys(self, key):
+        # The checks' parameters are module constants of verify.py.
+        with pytest.raises(fs.OutOfRange, match="unknown config keys"):
+            fs.RunConfig.from_dict({key: 1})
+
     def test_budget_overrides_from_mapping(self):
         cfg = fs.RunConfig.from_dict(
             {"budget_overrides": {"ahlfors_ratio": 9.0}}
