@@ -28,8 +28,8 @@ translation and scaling.
 The fits themselves are ``polyapprox._local_errors``, the kernel that
 ``fit_in_span`` and ``best_approx`` call on one cube, so a gathered matrix
 cell and ``best_approx`` on the same cube run the same fit: exact constants
-(k = 1) for every u, and for higher degrees least squares (u = 2) or
-reweighting (other u).
+(k = 1) for every u, and for higher degrees least squares (u = 2), an exact
+vertex exchange (u = 1) or reweighting (other u).
 """
 from __future__ import annotations
 
@@ -162,16 +162,20 @@ class ScaleGrid:
 
 def degree_for_sharp(alpha: float) -> int:
     """Space parameter k for the sharp convention: greatest integer < alpha + 1."""
-    if not alpha > 0.0:
-        raise NonpositiveAlpha(f"alpha must be positive, got {alpha}")
-    return int(math.ceil(alpha))
+    return int(math.ceil(_finite_alpha(alpha)))
 
 
 def degree_for_flat(alpha: float) -> int:
     """Space parameter k for the flat convention: smallest integer > alpha."""
+    return int(math.floor(_finite_alpha(alpha))) + 1
+
+
+def _finite_alpha(alpha: float) -> float:
     if not alpha > 0.0:
         raise NonpositiveAlpha(f"alpha must be positive, got {alpha}")
-    return int(math.floor(alpha)) + 1
+    if alpha == math.inf:
+        raise OutOfRange(f"alpha must be finite, got {alpha}")
+    return alpha
 
 
 def _scale_grid(cloud: WeightedPointCloud, grid: ScaleGrid | None) -> ScaleGrid:

@@ -10,8 +10,9 @@ all (function, cell) pairs of a batch at once: ``maximal.error_matrices``
 calls it on many cubes, ``fit_in_span`` (and so ``best_approx``) on one.
 Constants (k = 1) are fitted exactly for every u: the weighted median
 (u = 1), the mean (u = 2), a cubic root (u = 4) or bracketed Newton (other
-u). Higher degrees take weighted least squares, final for u = 2 and
-otherwise the start of damped, smoothed reweighting (IRLS).
+u). Higher degrees take weighted least squares, final for u = 2, the start
+of an exact vertex exchange for u = 1 (Barrodale & Roberts), and otherwise
+the start of damped, smoothed reweighting (IRLS).
 """
 from __future__ import annotations
 
@@ -48,8 +49,13 @@ RANK_RTOL_SV = 1e-6
 # floating-point noise from an exact fit and are reported as 0.
 CLAMP_REL = 1e-11
 
-# IRLS: step cap, stopping tolerance on the objective, and residual
-# smoothing relative to max|f|.
+# Exact L1 fits: a pivot cap, the excess of a multiplier over its weight the
+# certificate forgives, and the rounding of a residual taken for zero.
+EXCHANGE_MAX_PIVOTS = 100
+EXCHANGE_RTOL = 1e-10
+EXCHANGE_ZERO_REL = 1e-14
+# IRLS (1 < u < inf, u != 2): step cap, stopping tolerance on the objective,
+# and residual smoothing relative to max|f|.
 DEFAULT_MAX_ITER = 50
 DEFAULT_RTOL = 1e-8
 DEFAULT_DELTA_REL = 1e-8
@@ -217,8 +223,9 @@ def _local_errors(V, w, f, u, mass):
     the weights, with 0 marking padding, and mass[L] their sums. Constants
     are fitted exactly for every u (``_constant_errors``). Higher degrees
     take weighted least squares, final for u = 2 and otherwise the start of
-    ``_irls``. Returns (errors [F, L], coefficients [F, L, d], iterations
-    [F, L], converged [F, L]), each error the objective at its coefficients.
+    ``_l1_vertices`` (u = 1) or ``_irls``. Returns (errors [F, L],
+    coefficients [F, L, d], iterations [F, L], converged [F, L]), each error
+    the objective at its coefficients.
     Residuals are formed as V @ c, as ``Polynomial.evaluate`` forms them, so
     that the minimizer's residual reproduces its error even where the error
     is at the level of rounding. A rank-deficient cell's error is NaN, or 0
@@ -249,6 +256,8 @@ def _local_errors(V, w, f, u, mass):
     if u == 2.0:
         value = np.sqrt(np.einsum("flw,flw,lw->fl", resid, resid, w))
         iters, converged = _closed_form(value)
+    elif u == 1.0:
+        value, coef, iters, converged = _l1_vertices(V, w, f, coef, resid, scale, ~deficient)
     else:
         value, coef, iters, converged = _irls(
             V, w, f, u, coef, resid, scale, ~deficient
@@ -396,10 +405,101 @@ def _newton_errors(d, w, u):
     )
 
 
+def _l1_vertices(V, w, f, coef, resid, scale, usable):
+    """Exact weighted L1 fits of every (function, cell) pair by vertex exchange.
+
+    The simplex of Barrodale & Roberts (1973). A vertex c interpolates the d
+    rows of its basis B (block A of V), first the independent rows of least
+    least-squares residual. With s_i the side of r_i, lam = A^-T sum_{i not
+    in B} w_i s_i v_i certifies the minimum once |lam_j| <= w_j on B, since
+    y = (w s off B, -lam on B) then solves the dual max y.f, V^T y = 0,
+    |y| <= w. Otherwise the row of largest |lam_j| / w_j leaves, c moves
+    along sgn(lam_j) A^-1 e_j to the weighted median of the breakpoints (the
+    edge's minimum), and the row there enters. Ties go as under f + eps xi,
+    eps -> 0, xi free of small integer relations (the lexicographic rule): a
+    rounded zero residual takes its side and order from the residual rho of
+    xi, and c moves only on steps of nonzero length, so no basis recurs. A
+    pair cut off by EXCHANGE_MAX_PIVOTS reports its last vertex, unconverged.
+    Returns (errors, coefficients, pivots, converged).
+    """
+    nfun, ncell, width = f.shape
+    pairs, d = nfun * ncell, V.shape[2]
+    value = np.einsum("lw,flw->fl", w, np.abs(resid)).ravel()
+    coef, iters, converged = coef.reshape(pairs, d), np.zeros(pairs, int), np.ones(pairs, bool)
+    # Pairs that least squares fits to the clamp floor are settled.
+    act = np.flatnonzero(np.tile(usable, nfun) & (value > (CLAMP_REL * scale * w.sum(1)).ravel()))
+    wa = w[act % ncell]
+    Va = V[act % ncell] * (wa > 0.0)[..., None]  # a padding row is never a breakpoint
+    fa, cost = f.reshape(pairs, width)[act], np.abs(resid.reshape(pairs, width)[act])
+    # A lone pair drops the pair axis and its index prefix p1 is empty, so
+    # that every index below is a plain one on short vectors.
+    p1, pc = (np.arange(act.size),), (np.arange(act.size)[:, None],)
+    if act.size == 1:
+        act, wa, Va, fa, cost = (x[0] for x in (act, wa, Va, fa, cost))
+        p1 = pc = ()
+    U, cost = Va.copy(), np.where(wa > 0.0, cost, np.inf)
+    basis = np.zeros(U.shape[:-2] + (d,), dtype=int)
+    for k in range(d):
+        col = np.abs(U[..., k])
+        i = np.where(col > RANK_RTOL_SV * col.max(-1)[..., None], cost, np.inf).argmin(-1)
+        basis[..., k], cost[p1 + (i,)], pivot = i, np.inf, U[p1 + (i, k)]
+        pivot = (pivot + (pivot == 0.0))[..., None, None]
+        U -= U[..., k, None] / pivot * U[p1 + (i,)][..., None, :]
+    Ainv = np.linalg.inv(Va[pc + (basis,)])
+    c = (Ainv @ fa[pc + (basis,)][..., None])[..., 0]
+    # Residuals within rounding of the terms they are formed from are zero.
+    tiny = np.abs(Va).max((-2, -1)) * np.abs(c).sum(-1)
+    tiny = EXCHANGE_ZERO_REL * (np.abs(fa) + tiny[..., None])
+    xi = (43758.5453 * np.sin(np.arange(1.0, width + 1.0))) % 1.0
+    for it in range(EXCHANGE_MAX_PIVOTS + 1):
+        M = Va @ Ainv  # row i: v_i in the coordinates of the basis rows
+        r = fa - (Va @ c[..., None])[..., 0]  # formed as Polynomial.evaluate does
+        rho = xi - (M @ xi[basis][..., None])[..., 0]
+        zero = np.abs(r) <= tiny
+        side = np.sign(np.where(zero, rho, r))
+        side[pc + (basis,)] = 0.0
+        lam = ((wa * side)[..., None, :] @ M)[..., 0, :]
+        excess = np.abs(lam) / wa[pc + (basis,)]
+        j = excess.argmax(-1)
+        lj, certified = lam[p1 + (j,)], excess[p1 + (j,)] <= 1.0 + EXCHANGE_RTOL
+        a = M[p1 + (Ellipsis, j)] * np.sign(lj)[..., None]
+        cand = side * a > RANK_RTOL_SV * np.abs(a).max(-1)[..., None]
+        stop = certified | ~cand.any(-1) | (it == EXCHANGE_MAX_PIVOTS)
+        if stop.any() or stop.all():  # an empty batch stops at once
+            done = act[stop]
+            value[done] = np.einsum("pw,pw->p", wa[stop], np.abs(r[stop]))
+            coef[done], iters[done], converged[done] = c[stop], it, certified[stop]
+            if stop.all():
+                break
+            state = act, wa, Va, fa, tiny, c, basis, Ainv, M, r, rho, zero, excess, j, lj
+            act, wa, Va, fa, tiny, c, basis, Ainv, M, r, rho, zero, excess, j, lj = (
+                x[~stop] for x in state
+            )
+            a, cand = a[~stop], cand[~stop]
+            p1, pc = (np.arange(act.size),), (np.arange(act.size)[:, None],)
+        # Breakpoints r_i / a_i; zero residuals' come first, by rho_i / a_i.
+        sa = np.where(cand, a, np.nan)
+        key = r / sa
+        np.divide(-sa, rho, out=key, where=zero)
+        order = key.argsort(-1)
+        # The weighted median: where w_j - |lam_j| + 2 sum w |a| turns >= 0.
+        reach = (wa * np.abs(a))[pc + (order,)].cumsum(-1)
+        need = 0.5 * np.abs(lj) * (1.0 - 1.0 / excess[p1 + (j,)])
+        enter = order[p1 + (np.minimum((reach < need[..., None]).sum(-1), cand.sum(-1) - 1),)]
+        step = np.maximum(key[p1 + (enter,)], 0.0) * np.sign(lj)
+        c += step[..., None] * Ainv[p1 + (Ellipsis, j)]
+        # Basis row j becomes v_enter: A^-1 -= A^-1 e_j (h - e_j)^T / h_j.
+        h = M[p1 + (enter,)] / M[p1 + (enter, j)][..., None]
+        h[p1 + (j,)] -= 1.0 / M[p1 + (enter, j)]
+        Ainv -= Ainv[p1 + (Ellipsis, j)][..., :, None] * h[..., None, :]
+        basis[p1 + (j,)] = enter
+    return tuple(x.reshape(f.shape[:2] + x.shape[1:]) for x in (value, coef, iters, converged))
+
+
 def _irls(V, w, f, u, coef, resid, scale, usable):
     """Damped, smoothed reweighted least squares on every (function, cell) pair.
 
-    Serves k >= 2 only: constants have exact fits. The weights are
+    Serves k >= 2 with u not in {1, 2}; the other fits are exact. Weights are
     w (r**2 + delta**2)**(u/2 - 1) with delta = DEFAULT_DELTA_REL * max|f|;
     each pair stops on its own rule, a change of objective of at most
     DEFAULT_RTOL relative, or after DEFAULT_MAX_ITER steps unconverged.
@@ -421,7 +521,7 @@ def _irls(V, w, f, u, coef, resid, scale, usable):
     rr = np.square(resid.reshape(pairs, width)[act])
     VaT = np.ascontiguousarray(np.swapaxes(Va, 1, 2))
     floor2 = (floor * floor)[:, None]
-    obj = low = _lu_norms(wa, rr, u)
+    obj = low = (wa * rr ** (0.5 * u)).sum(axis=-1) ** (1.0 / u)
     low_c = ca.copy()
     exponent = 0.5 * u - 1.0
     # Plain reweighting oscillates for u > 2; relaxing the step by
@@ -436,7 +536,7 @@ def _irls(V, w, f, u, coef, resid, scale, usable):
         step = _solve_each(G, Vo @ fa[..., None], Va, omega, fa)
         ca = step if damping == 1.0 else ca + damping * (step - ca)
         rr = np.square(fa - (Va @ ca[..., None])[..., 0])
-        new = _lu_norms(wa, rr, u)
+        new = (wa * rr ** (0.5 * u)).sum(axis=-1) ** (1.0 / u)
         np.copyto(low_c, ca, where=(new < low)[:, None])
         low = np.fmin(low, new)
         done = np.abs(new - obj) <= DEFAULT_RTOL * np.maximum(obj, floor)
@@ -459,12 +559,6 @@ def _irls(V, w, f, u, coef, resid, scale, usable):
     return tuple(
         x.reshape((nfun, ncell) + x.shape[1:]) for x in (best, coef, iters, converged)
     )
-
-
-def _lu_norms(w, rr, u):
-    """(sum_w rr**(u/2))**(1/u) along the last axis, rr holding squared residuals."""
-    total = (w * rr ** (0.5 * u)).sum(axis=-1)
-    return total if u == 1.0 else total ** (1.0 / u)
 
 
 def _solve_each(G, rhs, V, omega, f):
@@ -612,9 +706,9 @@ class ApproxResult:
     ``value`` is the plain integral error E_k; ``normalized`` divides by
     mass(Q)^(1/u), i.e. the average form used by the maximal operators.
     ``value`` is the error of ``minimizer``. ``iterations`` counts IRLS or
-    Newton steps, and is 0 for closed forms (the median, the mean, the cubic
-    root, u = 2 least squares); ``converged`` is False only for a fit cut
-    off by its step cap.
+    Newton steps, or the pivots of the exact u = 1 exchange, and is 0 for
+    closed forms (the median, the mean, the cubic root, u = 2 least
+    squares); ``converged`` is False only for a fit cut off by its cap.
     """
 
     value: float
@@ -666,10 +760,12 @@ def reverse_holder_ratio(
     idx, mass = restrict(cloud, cube)
     if idx.size == 0:
         raise EmptyCube("cube contains no cloud points")
-    vals = poly.evaluate(cloud.points[idx])
+    vals = np.abs(poly.evaluate(cloud.points[idx]))
     w = cloud.weights[idx]
-    num = float((np.sum(w * np.abs(vals) ** q) / mass) ** (1.0 / q))
-    den = float((np.sum(w * np.abs(vals) ** u) / mass) ** (1.0 / u))
+    num, den = (  # the L^inf average is the largest value, as in _weighted_norm
+        float(vals.max() if e == math.inf else (np.sum(w * vals**e) / mass) ** (1.0 / e))
+        for e in (q, u)
+    )
     if den == 0.0:
         return math.inf if num > 0.0 else 1.0
     return num / den

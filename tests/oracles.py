@@ -3,9 +3,25 @@
 Everything here is written from the operator definitions alone: plain
 masks, closed-form or bisected constant fits, and exhaustive scans. No
 code is shared with the package internals, so agreement is meaningful
-evidence.
+evidence. ``bench`` is the benchmark's own oracle module (bench/oracles.py,
+numpy only): vertex enumeration of exact L1 fits and duality bounds, shared
+here rather than copied.
 """
+import importlib.util
+import pathlib
+
 import numpy as np
+
+
+def _load_bench_oracles():
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench = _load_bench_oracles()
 
 
 def best_constant_l1(values, weights):

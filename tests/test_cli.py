@@ -73,6 +73,11 @@ class TestNorms:
         assert sample["generator"] == "interval"
         assert float(sample["lp"]) >= 0.0
 
+    def test_infinite_alpha_fails_cleanly(self, capsys):
+        assert main(["norms", "interval", "--depth", "5", "--alpha", "inf"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+
     def test_calderon_blank_when_undefined(self, tmp_path):
         out = tmp_path / "n.csv"
         assert main([

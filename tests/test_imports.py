@@ -7,7 +7,10 @@ name kept importable for code that reaches it by module attribute.
 """
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -61,3 +64,24 @@ def test_package_reexports_each_module_all():
     assert len(set(names)) == len(names)
     for name in names:
         getattr(frakspace, name)
+
+
+def test_import_loads_only_the_package_and_the_standard_library():
+    # Set-up time is this import: every further module it pulls in (scipy,
+    # numpy.ma, ...) is paid by every command.
+    code = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import frakspace, frakspace.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    loaded = run.stdout.split()
+    assert "frakspace.cli" in loaded
+    stray = [
+        name for name in loaded
+        if name.split(".")[0] not in sys.stdlib_module_names | {"frakspace"}
+    ]
+    assert stray == []

@@ -403,6 +403,22 @@ class TestReverseHolder:
             ratio = fs.reverse_holder_ratio(dust3, cube, poly, 4.0, 2.0)
             assert ratio >= 1.0 - 1e-12
 
+    def test_sup_average_at_q_infinite(self, interval6):
+        # The L^inf average is max |p| over the cube's points, so the ratio is
+        # max|p| / avg|p|: at least 1, and the same for p and 10 p.
+        cube = fs.Cube(np.array([0.5]), 0.3)
+        idx, mass = fs.restrict(interval6, cube)
+        ratios = []
+        for scale in (1.0, 10.0):
+            poly = fs.Polynomial.from_coeff_map(1, {(0,): 0.2 * scale, (1,): scale})
+            vals = np.abs(poly.evaluate(interval6.points[idx]))
+            want = vals.max() / (np.sum(interval6.weights[idx] * vals) / mass)
+            got = fs.reverse_holder_ratio(interval6, cube, poly, math.inf, 1.0)
+            assert got == pytest.approx(want, rel=1e-12) and got >= 1.0
+            assert fs.reverse_holder_ratio(interval6, cube, poly, math.inf, math.inf) == 1.0
+            ratios.append(got)
+        assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
+
     def test_exponent_order_enforced(self, dust3):
         poly = fs.Polynomial.constant(2, 1.0)
         with pytest.raises(fs.OutOfRange):
@@ -414,3 +430,168 @@ class TestReverseHolder:
             fs.reverse_holder_ratio(
                 dust3, fs.Cube(np.array([9.0, 9.0]), 0.1), poly, 2.0, 1.0
             )
+
+
+def battery_values(cloud, name):
+    return fs.sample(next(tf for tf in fs.battery(cloud, 1) if tf.name == name), cloud).values
+
+
+def distinct_cubes(cloud, grid):
+    """One (i, j) cell per distinct point set among the cubes Q(x_i, t_j)."""
+    seen = {}
+    for i, x in enumerate(cloud.points):
+        dist = np.abs(cloud.points - x).max(axis=1)
+        for j, t in enumerate(grid.scales):
+            seen.setdefault(tuple(np.flatnonzero(dist <= t)), (i, j))
+    return seen
+
+
+class TestExactL1:
+    """Exact u = 1 fits at k >= 2 against the benchmark's oracles.
+
+    ``oracles.bench.cell`` brackets a normalized error between an exact
+    minimum (vertex enumeration, k = 2 and at most 40 points) or a duality
+    lower bound and the least-squares objective, with the clamp floor
+    2e-11 max|f| as slack on both sides.
+    """
+
+    CLOUDS = ("cantor4_d4", "interval6", "square3", "carpet2")
+
+    def oracle(self, cloud, vals, i, t, k):
+        pts, wts = cloud.points, cloud.weights
+        return oracles.bench.cell(pts, wts, vals, pts[i], float(t), k, 1.0)
+
+    @pytest.mark.parametrize("name", CLOUDS)
+    def test_small_cells_reach_the_vertex_minimum(self, request, name):
+        cloud = request.getfixturevalue(name)
+        grid = fs.ScaleGrid.dyadic(cloud)
+        for fname in ("cusp_beta060", "ridge_abs"):
+            vals = battery_values(cloud, fname)
+            got = fs.approx_error_matrix(cloud, vals, 2, 1.0, grid)
+            checked = 0
+            for members, (i, j) in distinct_cubes(cloud, grid).items():
+                if len(members) > oracles.bench.VERTEX_MAX_POINTS:
+                    continue
+                cell = self.oracle(cloud, vals, i, grid.scales[j], 2)
+                if cell.status == "ambiguous":
+                    continue
+                value = got[i, j]
+                assert cell.admits(value), (fname, i, j, value, cell.lo)
+                if cell.status == "bracket":
+                    assert value <= cell.lo * (1.0 + 1e-9) + cell.floor, (fname, i, j)
+                    checked += 1
+            assert checked > 0
+
+    @pytest.mark.parametrize("name", CLOUDS)
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_large_cells_lie_in_the_duality_bracket(self, request, name, k):
+        cloud = request.getfixturevalue(name)
+        grid = fs.ScaleGrid.dyadic(cloud)
+        vals = battery_values(cloud, "lacunary_beta050")
+        got = fs.approx_error_matrix(cloud, vals, k, 1.0, grid)
+        cubes = [
+            ij for members, ij in distinct_cubes(cloud, grid).items()
+            if k == 3 or len(members) > oracles.bench.VERTEX_MAX_POINTS
+        ]
+        for i, j in cubes[:: max(1, len(cubes) // 40)]:
+            cell = self.oracle(cloud, vals, i, grid.scales[j], k)
+            assert cell.admits(got[i, j]), (i, j, got[i, j], cell.lo, cell.hi)
+
+    @pytest.mark.parametrize("name", CLOUDS)
+    def test_polynomial_data_fits_exactly(self, request, name, rng):
+        cloud = request.getfixturevalue(name)
+        grid = fs.ScaleGrid.dyadic(cloud)
+        for k in (2, 3):
+            exps = np.asarray(fs.multi_indices(cloud.ambient_dim, k - 1))
+            coef = rng.standard_normal(len(exps))
+            poly = fs.Polynomial(cloud.ambient_dim, k - 1, exps, coef, np.zeros(cloud.ambient_dim))
+            got = fs.approx_error_matrix(cloud, poly(cloud.points), k, 1.0, grid)
+            assert np.all(np.isnan(got) | (got == 0.0)), k
+
+    @pytest.mark.parametrize("name", ["square3", "carpet2", "interval6"])
+    def test_kinks_and_ties_converge(self, request, name):
+        # ridge_abs is exactly linear on either side of its kink, and rounded
+        # values repeat: both leave many residuals exactly zero.
+        cloud = request.getfixturevalue(name)
+        grid = fs.ScaleGrid.dyadic(cloud)
+        ridge = battery_values(cloud, "ridge_abs")
+        for vals in (ridge, np.round(4.0 * battery_values(cloud, "cusp_beta060")) / 4.0):
+            for (i, j) in list(distinct_cubes(cloud, grid).values())[::3]:
+                cube = fs.Cube(cloud.points[i], float(grid.scales[j]))
+                for k in (2, 3):
+                    try:
+                        res = fs.best_approx(cloud, cube, vals, k, 1.0)
+                    except (fs.TooFewPoints, fs.RankDeficient):
+                        continue
+                    assert res.converged, (i, j, k)
+                    assert res.iterations < fs.polyapprox.EXCHANGE_MAX_PIVOTS
+
+    def test_duplicated_points_converge_to_the_vertex_minimum(self, make_cloud, rng):
+        x = rng.random((12, 2))
+        cloud = make_cloud(np.vstack([x, x, x[:4]]))
+        vals = np.sin(3.0 * cloud.points[:, 0]) + cloud.points[:, 1] ** 2
+        cube = fs.Cube(np.full(2, 0.5), 0.5)
+        res = fs.best_approx(cloud, cube, vals, 2, 1.0)
+        assert res.converged
+        V, _ = fs.monomial_matrix(cloud.points, cube, 2)
+        want = oracles.bench.vertex_l1_error(V, cloud.weights, vals)
+        assert res.value == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_padding_rows_never_enter(self, square3):
+        # A padded batch of cells gives each cell the fit it gets alone,
+        # however well its padding rows would fit the data.
+        grid = fs.ScaleGrid.dyadic(square3)
+        vals = battery_values(square3, "cusp_beta060")
+        cubes = list(distinct_cubes(square3, grid).items())[5:40:5]
+        width = max(len(members) for members, _ in cubes)
+        V = np.zeros((len(cubes), width, 3))
+        w = np.zeros((len(cubes), width))
+        f = np.zeros((1, len(cubes), width))
+        alone = []
+        for l, (members, (i, j)) in enumerate(cubes):
+            rows = np.asarray(members)
+            cube = fs.Cube(square3.points[i], float(grid.scales[j]))
+            Vl, _ = fs.monomial_matrix(square3.points[rows], cube, 2)
+            V[l, : rows.size], w[l, : rows.size] = Vl, square3.weights[rows]
+            f[0, l, : rows.size] = vals[rows]
+            V[l, rows.size :] = Vl[0]  # padding on a data row, residual 0 there
+            alone.append(fs.fit_in_span(Vl, square3.weights[rows], vals[rows], 1.0))
+        value, _, _, converged = fs.polyapprox._local_errors(V, w, f, 1.0, w.sum(axis=1))
+        assert converged.all()
+        for l, (_, v, _, _) in enumerate(alone):
+            assert value[0, l] == pytest.approx(v, rel=1e-9, abs=1e-14)
+
+    def test_rank_deficient_cells_are_nan(self, make_cloud):
+        # A line bent by 1e-9..1e-3: small cubes about the flat end hold
+        # enough points for a planar fit but are rank deficient.
+        x = np.linspace(0.0, 1.0, 48)
+        y = 10.0 ** np.linspace(-9.0, -3.0, 48) * (-1.0) ** np.arange(48)
+        cloud = make_cloud(np.column_stack([x, y]))
+        levels = np.arange(6)
+        grid = fs.ScaleGrid(
+            scales=cloud.diam * 2.0**-levels, levels=levels, diam=cloud.diam, factor=1.0
+        )
+        vals = np.sin(5.0 * x) + 1e3 * y
+        least = fs.approx_error_matrix(cloud, vals, 2, 2.0, grid)
+        got = fs.approx_error_matrix(cloud, vals, 2, 1.0, grid)
+        assert np.isnan(got).any() and np.array_equal(np.isnan(got), np.isnan(least))
+        flat = fs.Cube(np.zeros(2), 0.15)
+        with pytest.raises(fs.RankDeficient):
+            fs.best_approx(cloud, flat, vals, 2, 1.0)
+        assert fs.best_approx(cloud, flat, np.zeros(48), 2, 1.0).value == 0.0
+
+    @pytest.mark.parametrize("name", ["cantor4_d4", "carpet2"])
+    def test_matrix_cells_match_best_approx(self, request, name):
+        cloud = request.getfixturevalue(name)
+        grid = fs.ScaleGrid.dyadic(cloud)
+        vals = battery_values(cloud, "sigmoid_steep")
+        floor = 2.0 * fs.polyapprox.CLAMP_REL * np.max(np.abs(vals))
+        for k in (2, 3):
+            got = fs.approx_error_matrix(cloud, vals, k, 1.0, grid)
+            for i, j in list(distinct_cubes(cloud, grid).values())[::7]:
+                if np.isnan(got[i, j]):
+                    continue
+                cube = fs.Cube(cloud.points[i], float(grid.scales[j]))
+                res = fs.best_approx(cloud, cube, vals, k, 1.0)
+                assert res.converged
+                assert got[i, j] == pytest.approx(res.normalized, rel=1e-9, abs=floor)
