@@ -107,10 +107,6 @@ class Net:
         center = self.anchor + (np.asarray(multi) + 0.5) * self.mesh
         return Cube(center, 0.5 * self.mesh)
 
-    @property
-    def cubes(self) -> list[Cube]:
-        return [self.cube(i) for i in range(self.ncubes)]
-
 
 def dyadic_net(
     level: int,

@@ -6,24 +6,14 @@ t**-alpha; the degree of the fitted polynomial space follows alpha through
 one of two conventions ("sharp" and "flat") that differ only at integer
 alpha.
 
-Cubes live in rank space. On each axis a cube admits a run of the cloud's
-distinct coordinates (``_admitted_runs``), so a cube is a box of their grid
-(``_rank_grid``), and centres whose runs agree on every axis hold the same
-points: per scale ``_cubes`` finds these groups once, and only the first
-centre of each is evaluated. Where the grid has at most
-GRID_CELLS_PER_POINT cells per point, sums over cubes are read from
-summed-area tables (Crow 1984) with 2**n corner lookups each:
-``hl_maximal`` reads the mass and the mass of |g|**sigma, and
-``error_matrices`` reads the moments that fix a u = 2 error of degree
-<= 1 (k <= 2). Either keeps a table value only where a rounding bound for
-the summation order used puts it within BOX_RTOL / 2 of exact.
-
-Every other cube is gathered (``_cubes``), from the run of its narrowest
-axis: ``error_matrices`` fits the built cubes in batches, for every
-requested function the tables left open, and ``hl_maximal`` sums over
-them, as on an IFS whose coordinates leave gaps. A local error depends only
-on the points of its cube, since the polynomial space is invariant under
-translation and scaling.
+``rankspace`` finds the distinct cubes of each scale and, where the cloud's
+coordinate grid allows, reads sums over cubes from summed-area tables. Two
+guards here judge those sums, each by its own rounding bound, and keep a
+table value only within BOX_RTOL / 2 of exact: ``_table_errors`` the moments
+that fix a u = 2 error of degree <= 1 (k <= 2), ``hl_maximal`` the mass and
+the mass of |g|**sigma. Every other cube is gathered, then fitted or summed;
+a local error depends only on the points of its cube, since the polynomial
+space is invariant under translation and scaling.
 
 The fits themselves are ``polyapprox._local_errors``, the kernel that
 ``fit_in_span`` and ``best_approx`` call on one cube, so a gathered matrix
@@ -33,7 +23,6 @@ vertex exchange (u = 1) or reweighting (other u).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -54,11 +43,12 @@ from .polyapprox import (  # noqa: F401
     CLAMP_REL,
     RANK_RTOL_SV,
     _local_errors,
-    _vandermonde,
     basis_size,
     fit_in_span,
-    multi_indices,
     point_quota,
+)
+from .rankspace import (
+    CHUNK_ELEMS, _box_sums, _cubes, _fit_batches, _rank_grid, _summed_area, _table_layout,
 )
 
 __all__ = [
@@ -72,12 +62,6 @@ __all__ = [
     "hl_maximal",
 ]
 
-# Bound on the elements one batch of cubes allocates at once; keeps memory flat in N.
-CHUNK_ELEMS = 1 << 15
-# Summed-area tables serve a cloud whose grid of distinct coordinates has at
-# most this many cells per point; an IFS whose coordinates leave gaps has
-# about N cells per point, and its cubes are gathered.
-GRID_CELLS_PER_POINT = 4
 # A u = 2 error read from cube moments is kept when its rounding bound puts it
 # within BOX_RTOL / 2 of the exact error, relative; other cubes are fitted.
 BOX_RTOL = 1e-10
@@ -159,6 +143,15 @@ class ScaleGrid:
             factor=factor,
         )
 
+    @classmethod
+    def or_default(cls, cloud: WeightedPointCloud, grid: ScaleGrid | None) -> "ScaleGrid":
+        """``grid``, or the cloud's default dyadic grid when it is None; never empty."""
+        if grid is None:
+            grid = cls.dyadic(cloud)
+        if len(grid) == 0:
+            raise EmptyGrid("scale grid holds no scales")
+        return grid
+
 
 def degree_for_sharp(alpha: float) -> int:
     """Space parameter k for the sharp convention: greatest integer < alpha + 1."""
@@ -176,230 +169,6 @@ def _finite_alpha(alpha: float) -> float:
     if alpha == math.inf:
         raise OutOfRange(f"alpha must be finite, got {alpha}")
     return alpha
-
-
-def _scale_grid(cloud: WeightedPointCloud, grid: ScaleGrid | None) -> ScaleGrid:
-    """``grid``, or the cloud's default dyadic grid when it is None; never empty."""
-    if grid is None:
-        grid = ScaleGrid.dyadic(cloud)
-    if len(grid) == 0:
-        raise EmptyGrid("scale grid holds no scales")
-    return grid
-
-
-def _variant_degree(alpha: float, variant: str) -> int:
-    if variant == "sharp":
-        return degree_for_sharp(alpha)
-    if variant == "flat":
-        return degree_for_flat(alpha)
-    raise OutOfRange(f"variant must be 'sharp' or 'flat', got {variant!r}")
-
-
-@dataclass(frozen=True)
-class _RankGrid:
-    """The cloud's coordinates ranked per axis (``_rank_grid``).
-
-    ``order[a]`` sorts the points along axis a, ``axes[a]`` holds the
-    distinct coordinates of axis a in increasing order, ``starts[a]`` the
-    position in ``order[a]`` of each one's first point, with N appended,
-    and ``ranks[a][i]`` is one more than the index of point i's coordinate
-    in ``axes[a]``.
-    """
-
-    points: np.ndarray
-    order: np.ndarray
-    axes: list
-    starts: list
-    ranks: list
-
-
-def _rank_grid(cloud: WeightedPointCloud) -> _RankGrid:
-    """The cloud's coordinates ranked per axis, for ``_cubes`` and the tables."""
-    pts, (size, n) = cloud.points, cloud.points.shape
-    order = np.stack([np.argsort(pts[:, axis], kind="stable") for axis in range(n)])
-    axes, starts, ranks = [], [], []
-    for axis, by in enumerate(order):
-        coords = pts[by, axis]
-        # A diff mask rather than np.unique, whose first call imports numpy.ma.
-        new = np.concatenate([[True], coords[1:] != coords[:-1]])
-        rank = np.empty(size, dtype=np.intp)
-        rank[by] = np.cumsum(new)
-        axes.append(coords[new])
-        starts.append(np.append(np.flatnonzero(new), size))
-        ranks.append(rank)
-    return _RankGrid(pts, order, axes, starts, ranks)
-
-
-def _table_layout(rank: _RankGrid):
-    """Where the rank grid has at most GRID_CELLS_PER_POINT cells per point,
-    (cells, shape, depth) of its summed-area tables; else None.
-
-    A table of ``shape`` has one entry more per axis than that axis has
-    distinct coordinates, entry 0 being the empty prefix, and point i adds
-    to its entry ``cells[i]``. ``depth`` bounds the rounded additions any
-    one point's term passes through on its way into a table entry
-    (``_summed_area``).
-    """
-    if math.prod(x.size for x in rank.axes) > GRID_CELLS_PER_POINT * len(rank.points):
-        return None
-    shape = tuple(x.size + 1 for x in rank.axes)
-    cells = np.ravel_multi_index(rank.ranks, shape)
-    # bincount adds the points that share a cell, then each axis's prefix
-    # sums add ceil(log2(L)) times (``_summed_area``).
-    depth = int(np.bincount(cells).max()) - 1
-    depth += sum((length - 1).bit_length() for length in shape)
-    return cells, shape, depth
-
-
-def _cubes(rank: _RankGrid, scales: np.ndarray, quota: int, budget: int, settle=None):
-    """The distinct cubes Q(x_i, t_j) of at least ``quota`` points, in rank space.
-
-    Yields, per scale, (j, first, batches): ``first[i]`` is the lowest centre
-    whose runs of admitted distinct coordinates (``_admitted_runs``) equal
-    x_i's on every axis, so whose cube holds the same points, and
-    ``batches`` yields (centres, idx) for the first centres whose cubes may
-    meet the quota: row r of idx[L, W] lists the members of the cube about
-    ``centres[r]``, padded with the index N, and L * W <= budget unless
-    L = 1. A cube's candidates are the run of its narrowest axis, a slice of
-    that axis's order, kept by the test ``|p_a - c_a| <= t`` on the other
-    axes. ``settle(j, reps, runs)``, when given, first sees a scale's first
-    centres ``reps`` and their runs [R, n, 2], and returns the mask of those
-    it settled itself, which are not built.
-    """
-    pts, (size, n) = rank.points, rank.points.shape
-    # Rank r of axis a is entry a * (N + 1) + r, and entry N is the padding.
-    ranked = np.hstack([rank.order, np.full((n, 1), size)]).ravel()
-    # Coordinates by axis and point; the padding's column is masked out.
-    axes = np.hstack([pts.T, np.zeros((n, 1))])
-
-    def batches(centres, along, starts, lengths, t):
-        done = 0
-        while done < centres.size:
-            run_axis = along[done]
-            end = np.searchsorted(along, run_axis, "right")
-            end = min(end, done + max(1, budget // int(lengths[done])))
-            c, start, length = (x[done:end] for x in (centres, starts, lengths))
-            done = end
-            col = np.arange(length[0])
-            inside = col < length[:, None]
-            idx = ranked[np.where(inside, start[:, None] + col, size)]
-            if n > 1:  # in 1-D the run is the cube
-                for x in (x for a, x in enumerate(axes) if a != run_axis):
-                    inside &= np.abs(x[idx] - x[c, None]) <= t
-                count = np.count_nonzero(inside, axis=1)
-                keep = count >= quota
-                if not keep.any():
-                    continue
-                c, count, inside, idx = c[keep], count[keep], inside[keep], idx[keep]
-                # Members to the front of their rows, in run order.
-                row = np.nonzero(inside)[0]
-                packed = np.full((c.size, int(count.max())), size)
-                packed[row, np.arange(row.size) - (np.cumsum(count) - count)[row]] = idx[inside]
-                idx = packed
-            yield c, idx
-
-    everyone = np.arange(size)
-    for j, t in enumerate(scales):
-        runs = np.stack([_admitted_runs(x, pts[:, a], t) for a, x in enumerate(rank.axes)], axis=1)
-        first = _first_alike(runs.reshape(size, 2 * n))
-        # The runs as slices of each axis's order.
-        ends = np.stack([at[runs[:, a]] for a, at in enumerate(rank.starts)], axis=1)
-        lengths = ends[..., 1] - ends[..., 0]
-        axis = lengths.argmin(axis=1)
-        starts = ends[everyone, axis, 0] + axis * (size + 1)
-        lengths = lengths[everyone, axis]
-        centres = np.flatnonzero((first == everyone) & (lengths >= quota))
-        if settle is not None:
-            centres = centres[~settle(j, centres, runs[centres])]
-        # By run axis and longest run first: a batch shares its run axis, and
-        # its first cube sets its width.
-        centres = centres[np.lexsort((-lengths[centres], axis[centres]))]
-        yield j, first, batches(centres, axis[centres], starts[centres], lengths[centres], t)
-
-
-def _first_alike(runs: np.ndarray) -> np.ndarray:
-    """The lowest centre whose runs [N, 2n] equal each centre's on every axis.
-
-    Equal runs of distinct coordinates hold the same points. Runs that differ
-    only in coordinates no point of the cube uses (gaps in the cloud's
-    coordinate grid) hold the same points too, but such cubes keep separate
-    representatives. A stable sort keeps each group in index order.
-    """
-    order = np.lexsort(runs.T)
-    ranked = runs[order]
-    starts = np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)])
-    first = np.empty(runs.shape[0], dtype=int)
-    first[order] = order[starts][np.cumsum(starts) - 1]
-    return first
-
-
-def _admitted_runs(coords: np.ndarray, centres: np.ndarray, t: float) -> np.ndarray:
-    """Runs [lo, hi) of sorted ``coords`` with ``|coord - c| <= t``, [C, 2].
-
-    Each centre must be one of the coordinates, so no run is empty.
-    """
-    lo = np.searchsorted(coords, centres - t)
-    hi = np.searchsorted(coords, centres + t, side="right")
-
-    def admitted(i):
-        return np.abs(centres - coords[np.clip(i, 0, coords.size - 1)]) <= t
-
-    # c - t and c + t are rounded: move each end until the test admits the
-    # coordinate just inside it and not the one just outside.
-    while True:
-        lo_up, lo_down = ~admitted(lo), (lo > 0) & admitted(lo - 1)
-        hi_down, hi_up = ~admitted(hi - 1), (hi < coords.size) & admitted(hi)
-        if not (lo_up | lo_down | hi_down | hi_up).any():
-            return np.stack([lo, hi], axis=1)
-        lo = lo + lo_up - lo_down
-        hi = hi + hi_up - hi_down
-
-
-def _summed_area(layout, quantities: list) -> np.ndarray:
-    """Summed-area tables [T, G] of T per-point ``quantities`` [N] (``_table_layout``).
-
-    Entry e of table t sums quantities[t] over the points whose rank on
-    every axis lies below e's index there. Each axis of L entries takes its
-    prefix sums in ceil(log2(L)) doubling steps, each adding to every entry
-    the one a power of two before it, so a term passes through that many
-    roundings per axis where a running sum would take up to L - 1. Tables
-    are scanned one at a time, so the scan's temporary is one table.
-    """
-    cells, shape, _ = layout
-    tables = np.empty((len(quantities), math.prod(shape)))
-    for table, q in zip(tables, quantities):
-        table[:] = np.bincount(cells, weights=q, minlength=table.size)
-        table = table.reshape(shape)
-        for axis in range(table.ndim):
-            x = np.moveaxis(table, axis, -1)
-            shift = 1
-            while shift < x.shape[-1]:
-                x[..., shift:] = x[..., shift:] + x[..., :-shift]
-                shift *= 2
-    return tables
-
-
-def _box_sums(layout, tables: np.ndarray, runs: np.ndarray, signed=True) -> np.ndarray:
-    """Each of ``tables`` [T, G] summed over boxes of the rank grid, [T, C].
-
-    ``runs`` [C, n, 2] holds each box's run [lo, hi) of distinct coordinates
-    per axis, as ``_cubes`` finds them. A box's sum adds the table's 2**n
-    corner entries with alternating signs, the all-upper corner first;
-    ``signed=False`` adds them all, which for tables of nonnegative terms
-    bounds every partial sum.
-    """
-    shape = layout[1]
-    ends = runs * np.cumprod((1,) + shape[:0:-1])[::-1, None]
-    total = None
-    for corner in itertools.product((1, 0), repeat=len(shape)):
-        entry = np.take(tables, sum(ends[:, a, side] for a, side in enumerate(corner)), axis=1)
-        if total is None:
-            total = entry
-        elif signed and (len(shape) - sum(corner)) % 2:
-            total -= entry
-        else:
-            total += entry
-    return total
 
 
 def _table_errors(cloud: WeightedPointCloud, layout, values: np.ndarray, k: int, scales,
@@ -454,13 +223,11 @@ def _table_errors(cloud: WeightedPointCloud, layout, values: np.ndarray, k: int,
         into[:] = (z.T * w) @ z
     beta = 2**n * (layout[2] + 2**n + 3) * 0.5 * np.finfo(float).eps
     peak = np.abs(values).max(axis=1)[:, None]
-    step = max(1, CHUNK_ELEMS // len(tables))
 
     def settle(j, reps, runs):
         t = scales[j]
-        for start in range(0, reps.size, step):
-            rows = reps[start : start + step]
-            sums = _box_sums(layout, tables, runs[start : start + step])
+        for part, sums, _ in _box_sums(layout, tables, runs):
+            rows = reps[part]
             count, mass = sums[0], sums[1]
             Sx = sums[2 : 2 + m].T
             Sxx = np.empty((mass.size, m, m))
@@ -510,34 +277,6 @@ def _table_errors(cloud: WeightedPointCloud, layout, values: np.ndarray, k: int,
     return settle
 
 
-def _fit_batches(cloud: WeightedPointCloud, values: np.ndarray, k: int):
-    """The batch budget and batch builder for fits of ``values`` [F, N].
-
-    ``batch(idx, origin, half)`` gathers cells idx[L, W], padded with the
-    index N, into the kernel's arguments (V, w, f, mass): V is the design in
-    each cell's chart (x - origin[l]) / half, or None for constants (k = 1).
-    """
-    n = cloud.ambient_dim
-    exps = np.asarray(multi_indices(n, k - 1), dtype=int).reshape(-1, n)
-    # Index N is a zero-weight sentinel padding cells to a common width.
-    pts = np.vstack([cloud.points, np.zeros((1, n))])
-    wts = np.append(cloud.weights, 0.0)
-    vals = np.concatenate([values, np.zeros((values.shape[0], 1))], axis=1)
-    # A batch of fits keeps about two arrays per function and basis column
-    # alive, each holding one element per (cell, point) pair.
-    budget = max(1, CHUNK_ELEMS // (2 * (values.shape[0] + exps.shape[0])))
-
-    def batch(idx, origin, half):
-        w = wts[idx]
-        V = None
-        if exps.shape[0] > 1:
-            z = (pts[idx] - origin[:, None, :]) / half
-            V = _vandermonde(z.reshape(-1, n), exps).reshape(idx.shape + (-1,))
-        return V, w, np.take(vals, idx, axis=1), w.sum(axis=1)
-
-    return budget, batch
-
-
 def _no_scale(point: int, needed: int, k: int) -> TooFewPoints:
     return TooFewPoints(f"point {point} admits no scale with {needed} points for k={k}")
 
@@ -570,7 +309,7 @@ def error_matrices(
         raise OutOfRange(f"u must lie in [1, inf), got {u}")
     if k < 1:
         raise OutOfRange(f"space parameter k must be >= 1, got {k}")
-    grid = _scale_grid(cloud, grid)
+    grid = ScaleGrid.or_default(cloud, grid)
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != cloud.size:
         raise OutOfRange("function sample count does not match the cloud")
@@ -632,8 +371,10 @@ def sharp_maximal(
     grid: ScaleGrid | None = None,
 ) -> GridFunction:
     """Pointwise max over admissible scales of t**-alpha times the local error."""
-    k = _variant_degree(alpha, variant)
-    grid = _scale_grid(cloud, grid)
+    if variant not in ("sharp", "flat"):
+        raise OutOfRange(f"variant must be 'sharp' or 'flat', got {variant!r}")
+    k = degree_for_sharp(alpha) if variant == "sharp" else degree_for_flat(alpha)
+    grid = ScaleGrid.or_default(cloud, grid)
     matrix = approx_error_matrix(cloud, f, k, u, grid)
     vals = _sharp_from_matrix(matrix, grid.scales, alpha)
     skipped = int(np.isnan(matrix).sum())
@@ -665,37 +406,33 @@ def hl_maximal(
     Cubes are centered at cloud points, so every cube holds at least its
     center and all scales contribute. Centres whose cubes hold the same
     points share one average. Where the cloud's grid of distinct coordinates
-    allows (``_table_layout``), a cube's mass and mass of |g|**sigma are read
-    from summed-area tables. Their terms are nonnegative, but a box sum adds
-    and subtracts 2**n prefix sums, so its error is bounded by
-    (depth + 2**n + 1) eps / 2 times the sum of those prefix sums, which for
-    a small cube can be about N times its own sum. A cube keeps its table
-    average only when that bound puts M_sigma within BOX_RTOL / 2 of exact;
-    every other cube is gathered and summed.
+    allows (``rankspace._table_layout``), a cube's mass and mass of
+    |g|**sigma are read from summed-area tables. Their terms are nonnegative,
+    but a box sum adds and subtracts 2**n prefix sums, so its error is
+    bounded by (depth + 2**n + 1) eps / 2 times the sum of those prefix
+    sums, which for a small cube can be about N times its own sum. A cube
+    keeps its table average only when that bound puts M_sigma within
+    BOX_RTOL / 2 of exact; every other cube is gathered and summed. Powers
+    are taken in units of max|g|, so none overflows and the largest is 1.
     """
-    if not sigma > 0.0:
-        raise OutOfRange(f"sigma must be positive, got {sigma}")
-    grid = _scale_grid(cloud, grid)
-    values = cloud.values_of(g)
-    # Index N is a zero-weight sentinel, as in the padding of ``_cubes``.
+    if not 0.0 < sigma < math.inf:
+        raise OutOfRange(f"sigma must be positive and finite, got {sigma}")
+    grid = ScaleGrid.or_default(cloud, grid)
+    values = np.abs(cloud.values_of(g))
+    unit = float(values.max()) or 1.0
     wts = np.append(cloud.weights, 0.0)
-    powered = wts * np.abs(np.append(values, 0.0)) ** sigma
+    powered = wts * np.append(values / unit, 0.0) ** sigma
     average = np.empty(cloud.size)
     rank = _rank_grid(cloud)
     settle = None
     layout = _table_layout(rank)
     if layout is not None:
-        _, shape, depth = layout
         tables = _summed_area(layout, [wts[:-1], powered[:-1]])
-        rounding = (depth + 2 ** len(shape) + 1) * 0.5 * np.finfo(float).eps
-        step = CHUNK_ELEMS // 2
+        rounding = (layout[2] + 2**cloud.ambient_dim + 1) * 0.5 * np.finfo(float).eps
 
         def settle(j, reps, runs):
             keep = np.empty(reps.size, dtype=bool)
-            for start in range(0, reps.size, step):
-                part = slice(start, start + step)
-                mass, total = _box_sums(layout, tables, runs[part])
-                spread = _box_sums(layout, tables, runs[part], signed=False)
+            for part, (mass, total), spread in _box_sums(layout, tables, runs, unsigned=True):
                 average[reps[part]] = total / mass
                 # Relative errors of mass and total add in the average, and
                 # the power 1 / sigma scales them.
@@ -710,6 +447,6 @@ def hl_maximal(
         np.maximum(best, average[first], out=best)
     name = getattr(g, "name", "")
     return GridFunction(
-        cloud, best ** (1.0 / sigma), name=f"hl({name})" if name else "hl",
+        cloud, unit * best ** (1.0 / sigma), name=f"hl({name})" if name else "hl",
         meta={"sigma": sigma},
     )

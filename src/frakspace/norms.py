@@ -3,11 +3,13 @@
 Scales are dyadic fractions of the cloud diameter: level nu means
 t = diam * 2**-nu, and the per-scale weight is t**-alpha. The Besov
 seminorm sums weighted per-scale error norms over the admissible window;
-an independent net-based construction serves as its cross-check. It fits
-f on every occupied cell of a dyadic net in L^p, in padded batches through
-the kernel every other fit runs (``polyapprox._local_errors``), and fits a
-cell whose points leave the monomials dependent over a full-rank basis of
-the same span, so every p in [1, inf) gives a finite seminorm.
+an independent net-based construction serves as its cross-check. This
+module owns the net route's cells: each point's cell is ``Net.assign``'s,
+with its half-open faces, and ``rankspace`` gathers the cells in the padded
+batches every other fit takes. It fits f on every occupied cell in L^p
+through the kernel every other fit runs (``polyapprox._local_errors``), and
+fits a cell whose points leave the monomials dependent over a full-rank
+basis of the same span, so every p in [1, inf) gives a finite seminorm.
 """
 from __future__ import annotations
 
@@ -16,21 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveAlpha, OutOfRange
+from .errors import OutOfRange
 from .geometry import Net, dyadic_net
-from .maximal import (
-    ScaleGrid,
-    approx_error_matrix,
-    degree_for_flat,
-    _fit_batches,
-    _scale_grid,
-    _sharp_from_matrix,
-    _variant_degree,
-)
+from .maximal import ScaleGrid, approx_error_matrix, degree_for_flat, sharp_maximal
 from .measure import WeightedPointCloud
 # The net route never calls fit_in_span; it stays importable here only
 # because bench/layers.py wraps it by name at this module too.
 from .polyapprox import RANK_RTOL_SV, _local_errors, fit_in_span  # noqa: F401
+from .rankspace import _fit_batches, _padded_batches
 
 __all__ = [
     "NormReport",
@@ -118,12 +113,9 @@ def calderon_norm(
     """||f||_p plus the L^p norm of the fractional sharp maximal function."""
     if not p > 1.0:
         raise OutOfRange(f"p must exceed 1 for this norm, got {p}")
-    grid = _scale_grid(cloud, grid)
-    k = _variant_degree(alpha, variant)
-    matrix = approx_error_matrix(cloud, f, k, u, grid)
-    sharp_vals = _sharp_from_matrix(matrix, grid.scales, alpha)
+    grid = ScaleGrid.or_default(cloud, grid)
+    sharp_lp = lp_norm(cloud, sharp_maximal(cloud, f, alpha, u, variant, grid), p)
     lp = lp_norm(cloud, f, p)
-    sharp_lp = lp_norm(cloud, sharp_vals, p)
     return NormReport(
         lp=lp,
         sharp_lp=sharp_lp,
@@ -152,8 +144,7 @@ def besov_norm(
     The inner error exponent u defaults to p. For p = inf a finite u must be
     given explicitly, since sup-norm polynomial fitting is out of scope.
     """
-    if not alpha > 0.0:
-        raise NonpositiveAlpha(f"alpha must be positive, got {alpha}")
+    k = degree_for_flat(alpha)
     if not 1.0 <= p:
         raise OutOfRange(f"p must lie in [1, inf], got {p}")
     if not 1.0 <= q:
@@ -164,8 +155,7 @@ def besov_norm(
                 "p = inf needs an explicit finite inner exponent u"
             )
         u = p
-    grid = _scale_grid(cloud, grid)
-    k = degree_for_flat(alpha)
+    grid = ScaleGrid.or_default(cloud, grid)
     raw = scale_profile(cloud, f, k, u, p, grid)
     weighted = raw * grid.scales**-alpha
     finite = weighted[~np.isnan(weighted)]
@@ -223,8 +213,7 @@ def besov_net_norm(
     L^p, and c_nu = (mesh)**-alpha * ||f - fit||_p. Independent of the
     scale-sum route, so it serves as that route's oracle.
     """
-    if not alpha > 0.0:
-        raise NonpositiveAlpha(f"alpha must be positive, got {alpha}")
+    k = degree_for_flat(alpha)
     if not (1.0 <= p < math.inf):
         raise OutOfRange(f"p must lie in [1, inf) here, got {p}")
     if not 1.0 <= q:
@@ -232,7 +221,7 @@ def besov_net_norm(
     levels = [int(v) for v in levels]
     if not levels:
         raise OutOfRange("need at least one net level")
-    budget, batch = _fit_batches(cloud, cloud.values_of(f)[None], degree_for_flat(alpha))
+    budget, batch = _fit_batches(cloud, cloud.values_of(f)[None], k)
     terms, unconverged = [], 0
     for nu in levels:
         net = dyadic_net(nu, cloud.bbox, offset=offset)
@@ -256,12 +245,12 @@ def _net_errors(cloud: WeightedPointCloud, net: Net, budget: int, batch, p: floa
     """L^p errors of the best fits on the occupied cells of ``net``, by label,
     and the number of those fits that did not converge.
 
-    One stable sort of the cell labels lists each cell's points; cells go
-    to the kernel largest first, in batches of L cells of width W with
-    L * W <= budget unless L = 1, as ``maximal._cubes`` bounds its cubes.
-    A cell the kernel calls rank deficient is fitted over the same span in
-    a full-rank basis, the right singular vectors of sqrt(w) V above the
-    kernel's rank threshold; cells of one rank share one call.
+    One stable sort of the cell labels lists each cell's points in index
+    order; cells go to the kernel largest first, in the padded batches of
+    ``rankspace._padded_batches``. A cell the kernel calls rank deficient is
+    fitted over the same span in a full-rank basis, the right singular
+    vectors of sqrt(w) V above the kernel's rank threshold; cells of one
+    rank share one call.
     """
     cells = net.assign(cloud.points)
     order = np.argsort(cells, kind="stable")
@@ -270,13 +259,9 @@ def _net_errors(cloud: WeightedPointCloud, net: Net, budget: int, batch, p: floa
     by_size = np.argsort(-counts, kind="stable")
     starts, counts = starts[by_size], counts[by_size]
     labels = cells[order[starts]]
-    order = np.append(order, cloud.size)  # order[-1] is N, the padding index
-    out, done, unconverged = np.empty(starts.size), 0, 0
-    while done < starts.size:
-        end = min(starts.size, done + max(1, budget // int(counts[done])))
-        col = np.arange(counts[done])
-        idx = order[np.where(col < counts[done:end, None], starts[done:end, None] + col, -1)]
-        corner = np.stack(np.unravel_index(labels[done:end], net.counts), axis=1)
+    out, unconverged = np.empty(starts.size), 0
+    for part, idx in _padded_batches(np.append(order, cloud.size), starts, counts, budget):
+        corner = np.stack(np.unravel_index(labels[part], net.counts), axis=1)
         V, w, f, mass = batch(idx, net.anchor + (corner + 0.5) * net.mesh, 0.5 * net.mesh)
         err, _, _, converged = (x[0] for x in _local_errors(V, w, f, p, mass))
         bad = np.flatnonzero(np.isnan(err))
@@ -288,7 +273,6 @@ def _net_errors(cloud: WeightedPointCloud, net: Net, budget: int, batch, p: floa
                 span = V[group] @ np.swapaxes(vt[rank == r, :r], 1, 2)
                 fit = _local_errors(span, w[group], f[:, group], p, mass[group])
                 err[group], converged[group] = fit[0][0], fit[3][0]
-        out[by_size[done:end]] = err
+        out[by_size[part]] = err
         unconverged += int(np.count_nonzero(~converged))
-        done = end
     return out, unconverged

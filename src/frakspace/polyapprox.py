@@ -689,7 +689,7 @@ def uniform_bound(proj: Projector, u: float) -> float:
     """sum_beta ||p_beta||_u * ||p_beta||_u' over the cube (u' conjugate)."""
     if not 1.0 <= u:
         raise OutOfRange(f"u must be >= 1, got {u}")
-    dual = math.inf if u == 1.0 else u / (u - 1.0)
+    dual = math.inf if u == 1.0 else 1.0 if u == math.inf else u / (u - 1.0)
     total = 0.0
     for j in range(proj.dimension):
         vals = proj._basis_values[:, j]

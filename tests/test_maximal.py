@@ -297,7 +297,7 @@ class TestErrorMatrix:
         def unreachable(*args):
             raise AssertionError("basis exponents listed for an impossible degree")
 
-        monkeypatch.setattr(fs.maximal, "multi_indices", unreachable)
+        monkeypatch.setattr(fs.rankspace, "multi_indices", unreachable)
         grid = fs.ScaleGrid.dyadic(interval6)
         with pytest.raises(fs.TooFewPoints, match=r"point 0 admits no scale .* k=1000000"):
             fs.error_matrices(interval6, rough_sample(interval6)[None], 10**6, 1.0, grid)
@@ -322,6 +322,23 @@ class TestHlProperties:
     def test_sigma_validation(self, dust3):
         with pytest.raises(fs.OutOfRange):
             fs.hl_maximal(dust3, np.ones(64), 0.0)
+
+    def test_infinite_sigma_refused(self, interval6):
+        g = 3.0 * interval6.points[:, 0] - 1.0
+        with pytest.raises(fs.OutOfRange):
+            fs.hl_maximal(interval6, g, math.inf)
+
+    def test_large_sigma_neither_underflows_nor_overflows(self, interval6):
+        # 0.5**2000 underflows and 1.977**2000 overflows; in units of max|g|
+        # neither does. The largest cube holds the peak, so every value lies
+        # within min(w)**(1 / sigma) of max|g|.
+        const = fs.hl_maximal(interval6, np.full(interval6.size, 0.5), 2000.0).values
+        np.testing.assert_allclose(const, 0.5, rtol=1e-12)
+        g = 3.0 * interval6.points[:, 0] - 1.0
+        peak, sigma = np.max(np.abs(g)), 2000.0
+        out = fs.hl_maximal(interval6, g, sigma).values
+        assert np.all(out <= peak * (1.0 + 1e-12))
+        assert np.all(out >= peak * np.min(interval6.weights) ** (1.0 / sigma))
 
 
 def test_empty_grid_is_not_replaced_by_the_default(dust3):
@@ -458,8 +475,8 @@ def assert_cubes_match_the_distance_test(cloud, scales, quota, budget):
     """Every cube ``_cubes`` yields against the brute-force Chebyshev mask."""
     pts, size = cloud.points, cloud.size
     seen = []
-    rank = fs.maximal._rank_grid(cloud)
-    for j, first, batches in fs.maximal._cubes(rank, scales, quota, budget):
+    rank = fs.rankspace._rank_grid(cloud)
+    for j, first, batches in fs.rankspace._cubes(rank, scales, quota, budget):
         t = scales[j]
         built = []
         for centres, idx in batches:
@@ -511,7 +528,8 @@ class TestSharedCubeFits:
     def test_grouping_matches_the_cubes(self, name, depth):
         cloud = build(name, depth)
         scales = fs.ScaleGrid.dyadic(cloud).scales
-        cubes = fs.maximal._cubes(fs.maximal._rank_grid(cloud), scales, 1, fs.maximal.CHUNK_ELEMS)
+        rs = fs.rankspace
+        cubes = rs._cubes(rs._rank_grid(cloud), scales, 1, rs.CHUNK_ELEMS)
         first = np.stack([first for _, first, _ in cubes], axis=1)
         sets = cube_sets(cloud, scales)
         for j in range(scales.size):
@@ -541,7 +559,7 @@ class TestSharedCubeFits:
                     below, above = np.nextafter(below, -1.0), np.nextafter(above, 2.0)
                     near += [below, above]
             coords = np.sort(np.concatenate([near, near[::2], rng.random(8)]))
-            runs = fs.maximal._admitted_runs(coords, coords, t)
+            runs = fs.rankspace._admitted_runs(coords, coords, t)
             ranks = np.arange(coords.size)
             want = np.abs(coords[:, None] - coords[None, :]) <= t
             got = (runs[:, :1] <= ranks) & (ranks < runs[:, 1:])
@@ -622,7 +640,7 @@ class TestBoxSums:
     @staticmethod
     def gathered(monkeypatch, call):
         with monkeypatch.context() as patched:
-            patched.setattr(fs.maximal, "GRID_CELLS_PER_POINT", 0)
+            patched.setattr(fs.rankspace, "GRID_CELLS_PER_POINT", 0)
             return call()
 
     @staticmethod
@@ -637,7 +655,7 @@ class TestBoxSums:
         # The builtin clouds have at most 2 grid cells per point, the gapped
         # IFS about N.
         cloud = build(name, depth)
-        layout = fs.maximal._table_layout(fs.maximal._rank_grid(cloud))
+        layout = fs.rankspace._table_layout(fs.rankspace._rank_grid(cloud))
         assert (layout is None) == (name == "gapped")
 
     @pytest.mark.parametrize("name", CLOUDS)

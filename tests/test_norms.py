@@ -21,7 +21,7 @@ def battery_cusp(cloud):
 def net_cell_errors(cloud, vals, alpha, p, nu):
     """The net route's L^p error on each occupied level-nu cell, by cell label."""
     k = fs.degree_for_flat(alpha)
-    budget, batch = fs.maximal._fit_batches(cloud, np.asarray(vals)[None], k)
+    budget, batch = fs.rankspace._fit_batches(cloud, np.asarray(vals)[None], k)
     return fs.norms._net_errors(cloud, fs.dyadic_net(nu, cloud.bbox), budget, batch, p)[0]
 
 
@@ -278,6 +278,36 @@ class TestNetPinnedToCellLoop:
                     assert np.all(gap <= floor), (alpha, float(np.max(gap - floor)))
                 else:
                     assert np.all(got <= want * (1.0 + 1e-7)), (alpha, p)
+
+
+class TestNetBatches:
+    """The net route's padded batches against ``Net.assign``, cell by cell."""
+
+    @pytest.mark.parametrize("name", TestNetPinnedToCellLoop.CLOUDS)
+    def test_rows_list_the_points_of_their_cells(self, request, name):
+        # A small budget splits most levels into many batches.
+        cloud, budget = request.getfixturevalue(name), 40
+        _, batch = fs.rankspace._fit_batches(cloud, battery_cusp(cloud)[None], 2)
+        for nu in range(6):
+            net = fs.dyadic_net(nu, cloud.bbox)
+            labels = net.assign(cloud.points)
+            cells, widths = [], []
+
+            def recording(idx, origin, half):
+                assert idx.shape[0] == 1 or idx.size <= budget
+                # Each row's cell is the one its chart is centred in.
+                for cell, row in zip(net.assign(origin), idx):
+                    members = row[row < cloud.size]
+                    # Members first, in index order, then only padding.
+                    assert np.all(row[members.size :] == cloud.size)
+                    assert np.array_equal(members, np.flatnonzero(labels == cell)), (nu, cell)
+                    cells.append(cell)
+                    widths.append(members.size)
+                return batch(idx, origin, half)
+
+            fs.norms._net_errors(cloud, net, budget, recording, 2.0)
+            assert sorted(cells) == sorted(set(labels.tolist())), nu
+            assert widths == sorted(widths, reverse=True), nu
 
 
 class TestScaleProfile:

@@ -372,6 +372,18 @@ class TestProjector:
             ratio = fs.sup_bound_ratio(proj, f)
             assert ratio <= fs.uniform_bound(proj, 1.0) + 1e-9
 
+    def test_uniform_bound_at_infinity_pairs_sup_with_l1(self, interval6):
+        # The conjugate of u = inf is 1, not inf / inf.
+        proj = fs.make_projector(interval6, fs.Cube([0.5], 0.3), 2)
+        x = interval6.points[proj.indices]
+        w = interval6.weights[proj.indices]
+        want = sum(
+            np.max(np.abs(p(x))) * np.sum(w * np.abs(p(x))) for p in proj.basis
+        )
+        got = fs.uniform_bound(proj, math.inf)
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-12)
+
 
 class TestReverseHolder:
     def test_constant_polynomial_gives_one(self, dust3):
