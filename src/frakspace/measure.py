@@ -183,8 +183,6 @@ class AhlforsReport:
 
     c1_hat: float
     c2_hat: float
-    samples: int
-    scale_range: tuple[float, float]
 
     def __post_init__(self):
         if not (0.0 < self.c1_hat <= self.c2_hat < math.inf):
@@ -197,8 +195,8 @@ class AhlforsReport:
         return self.c2_hat / self.c1_hat
 
 
-def moran_dimension(ratios, tol: float = 1e-12) -> float:
-    """Solve sum(r_i**s) == 1 for s by bisection.
+def moran_dimension(ratios) -> float:
+    """Solve sum(r_i**s) == 1 for s by bisection, to within 1e-12.
 
     The left side is strictly decreasing in s, so the root is unique.
     """
@@ -221,7 +219,7 @@ def moran_dimension(ratios, tol: float = 1e-12) -> float:
         hi *= 2.0
         if hi > 1e6:  # unreachable for valid ratios; guards infinite loop
             raise OutOfRange("failed to bracket the similarity dimension")
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if excess(mid) > 0.0:
             lo = mid
@@ -319,9 +317,7 @@ def ahlfors_constants(
             ratio = mass / r**cloud.s
             lo = min(lo, ratio)
             hi = max(hi, ratio)
-    return AhlforsReport(
-        c1_hat=lo, c2_hat=hi, samples=samples, scale_range=(min(scales), max(scales))
-    )
+    return AhlforsReport(c1_hat=lo, c2_hat=hi)
 
 
 def cantor_dust(ratio: float = 1.0 / 3.0) -> IfsSpec:

@@ -73,18 +73,17 @@ def point_quota(d: int) -> int:
 
 
 def multi_indices(n: int, max_degree: int) -> list[tuple[int, ...]]:
-    """Exponent tuples with total degree <= max_degree, graded lexicographic."""
+    """Exponent tuples with total degree <= max_degree, graded lexicographic:
+    each degree's tuples once each, decreasing, as their multisets come."""
     if n < 1:
         raise OutOfRange(f"ambient dimension must be >= 1, got {n}")
     out: list[tuple[int, ...]] = []
     for deg in range(max(max_degree, -1) + 1):
-        block = set()
         for combo in combinations_with_replacement(range(n), deg):
             e = [0] * n
             for j in combo:
                 e[j] += 1
-            block.add(tuple(e))
-        out.extend(sorted(block, reverse=True))
+            out.append(tuple(e))
     return out
 
 
@@ -429,7 +428,7 @@ def _l1_vertices(V, w, f, coef, resid, scale, usable):
     # Pairs that least squares fits to the clamp floor are settled.
     act = np.flatnonzero(np.tile(usable, nfun) & (value > (CLAMP_REL * scale * w.sum(1)).ravel()))
     wa = w[act % ncell]
-    Va = V[act % ncell] * (wa > 0.0)[..., None]  # a padding row is never a breakpoint
+    Va = V[act % ncell]
     fa, cost = f.reshape(pairs, width)[act], np.abs(resid.reshape(pairs, width)[act])
     # A lone pair drops the pair axis and its index prefix p1 is empty, so
     # that every index below is a plain one on short vectors.

@@ -259,6 +259,9 @@ def _fit_batches(cloud: WeightedPointCloud, values: np.ndarray, k: int):
     ``batch(idx, origin, half)`` gathers cells idx[L, W], padded with the
     index N, into the kernel's arguments (V, w, f, mass): V is the design in
     each cell's chart (x - origin[l]) / half, or None for constants (k = 1).
+    A padding row of V is zero, its chart coordinates zeroed first: point N,
+    at the origin, can lie far outside a small cell's chart, where its
+    monomials of high degree would overflow.
     """
     n = cloud.ambient_dim
     exps = np.asarray(multi_indices(n, k - 1), dtype=int).reshape(-1, n)
@@ -273,8 +276,11 @@ def _fit_batches(cloud: WeightedPointCloud, values: np.ndarray, k: int):
         w = wts[idx]
         V = None
         if exps.shape[0] > 1:
+            live = w > 0.0
             z = (pts[idx] - origin[:, None, :]) / half
+            z *= live[..., None]
             V = _vandermonde(z.reshape(-1, n), exps).reshape(idx.shape + (-1,))
+            V[..., 0] = live  # the constant monomial
         return V, w, np.take(vals, idx, axis=1), w.sum(axis=1)
 
     return budget, batch

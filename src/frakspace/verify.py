@@ -10,9 +10,11 @@ are comparable.
 
 The checks run at one parameter choice, the module constants from
 ``SCALE_FACTOR`` to ``AHLFORS_SCALES`` below (degrees k, inner exponents u,
-smoothness alpha, norm exponents p), which the acceptance gate pins. A
-``RunConfig`` picks the rest: generators and depths, seed, how many cubes
-each sampling check draws, which battery functions enter, and budgets.
+smoothness alpha, norm exponents p), which the acceptance gate pins. Each
+check reads them itself, but ``check_embedding_chain`` takes its alphas and
+p, since the gate calls it one alpha at a time. A ``RunConfig`` picks the
+rest: generators and depths, seed, how many cubes each sampling check
+draws, which battery functions enter, and budgets.
 
 ``run_all`` works cloud by cloud. ``_needs`` lists the error matrices the
 checks read; they are united by (k, u) and fetched with one kernel call per
@@ -57,6 +59,7 @@ from .polyapprox import (
     multi_indices,
     reverse_holder_ratio,
 )
+from .rankspace import CHUNK_ELEMS
 
 __all__ = [
     "Witness",
@@ -311,12 +314,20 @@ def _radius_window(cloud: WeightedPointCloud) -> tuple[float, float]:
 
 
 def _random_cubes(cloud: WeightedPointCloud, rng, count: int, lo: float, hi: float):
-    """Centres snapped to the cloud, then half-sides log-uniform in [lo, hi]."""
+    """Centres snapped to the cloud, then half-sides log-uniform in [lo, hi].
+
+    Targets are snapped in chunks, each [chunk, N, n] difference at most
+    CHUNK_ELEMS elements, so memory stays flat in the draw count.
+    """
     box_lo, box_hi = cloud.bbox
     targets = box_lo + rng.random((count, cloud.ambient_dim)) * (box_hi - box_lo)
-    d2 = ((targets[:, None, :] - cloud.points[None, :, :]) ** 2).sum(axis=2)
+    nearest = np.empty(count, dtype=np.intp)
+    step = max(1, CHUNK_ELEMS // cloud.points.size)
+    for i in range(0, count, step):
+        d2 = ((targets[i : i + step, None, :] - cloud.points[None, :, :]) ** 2).sum(axis=2)
+        nearest[i : i + step] = np.argmin(d2, axis=1)
     radii = np.exp(np.log(lo) + rng.random(count) * (np.log(hi) - np.log(lo)))
-    return cloud.points[np.argmin(d2, axis=1)], radii
+    return cloud.points[nearest], radii
 
 
 def check_monotonicity(
@@ -384,8 +395,6 @@ def check_poincare(
     cache: MatrixCache,
     rng: np.random.Generator,
     samples: int,
-    alpha: float,
-    q: float,
     window: tuple[float, float] | None = None,
     generator: str = "?",
 ):
@@ -397,6 +406,7 @@ def check_poincare(
     """
     if not funcs:
         return 0.0, [], 0
+    alpha, q = POINCARE_ALPHA, POINCARE_Q
     sigma = poincare_sigma(q, alpha, cloud.s)
     k = degree_for_sharp(alpha)
     centers, radii = _random_cubes(
@@ -438,9 +448,6 @@ def check_sharp_equivalence(
     cloud: WeightedPointCloud,
     funcs,
     cache: MatrixCache,
-    alpha: float,
-    exponents: tuple,
-    norm_p: float,
     generator: str = "?",
 ):
     """Pointwise ordering of sharp maximal functions in the inner exponent.
@@ -448,18 +455,18 @@ def check_sharp_equivalence(
     Larger inner exponents dominate pointwise (power-mean monotonicity), an
     inequality the implementation reproduces essentially exactly; the
     reverse comparison only holds on average, so its constant is the ratio
-    of L^norm_p norms and is tracked for stability.
+    of L^SHARP_NORM_P norms and is tracked for stability.
     """
+    alpha = SHARP_ALPHA
     k = degree_for_sharp(alpha)
-    us = tuple(sorted(float(u) for u in exponents))
     values = {}
-    for u in us:
+    for u in SHARP_EXPONENTS:
         for gf, v in zip(funcs, cache.sharp_values(cloud, funcs, alpha, u, k)):
             values[(gf.name, u)] = v
     left = _Worst(generator, cloud.depth)
     right_constant = 0.0
     for gf in funcs:
-        for u_lo, u_hi in zip(us, us[1:]):
+        for u_lo, u_hi in zip(SHARP_EXPONENTS, SHARP_EXPONENTS[1:]):
             v_lo = values[(gf.name, u_lo)]
             v_hi = values[(gf.name, u_hi)]
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -468,8 +475,8 @@ def check_sharp_equivalence(
                 )
             params = f"alpha={alpha!r},u_lo={u_lo!r},u_hi={u_hi!r}"
             left.offer(float(ratios.max()), gf.name, params)
-            hi_norm = lp_norm(cloud, v_hi, norm_p)
-            lo_norm = lp_norm(cloud, v_lo, norm_p)
+            hi_norm = lp_norm(cloud, v_hi, SHARP_NORM_P)
+            lo_norm = lp_norm(cloud, v_lo, SHARP_NORM_P)
             if lo_norm > 0.0:
                 right_constant = max(right_constant, hi_norm / lo_norm)
     return left.value, right_constant, left.witnesses
@@ -522,8 +529,6 @@ def check_sobolev_embedding(
     cloud: WeightedPointCloud,
     funcs,
     cache: MatrixCache,
-    k: int,
-    p: float,
     generator: str = "?",
 ):
     """Estimated constant in the improved-exponent inequality.
@@ -532,6 +537,7 @@ def check_sobolev_embedding(
     L^p norm of the order-k sharp maximal function. Returns None when
     k p >= s and the exponent is undefined on this cloud.
     """
+    k, p = SOBOLEV_K, SOBOLEV_P
     if not k * p < cloud.s:
         return None
     q = sobolev_exponent(cloud.s, p, k)
@@ -553,14 +559,12 @@ def check_sobolev_embedding(
 def check_reverse_holder(
     cloud: WeightedPointCloud,
     rng: np.random.Generator,
-    degree: int,
-    qu_pairs: tuple,
     trials: int,
     window: tuple[float, float] | None = None,
     generator: str = "?",
 ):
     """Worst average-L^q over average-L^u ratio of random polynomials."""
-    n = cloud.ambient_dim
+    n, degree = cloud.ambient_dim, REVHOLDER_DEGREE
     exps = np.asarray(multi_indices(n, degree), dtype=int)
     centers, radii = _random_cubes(
         cloud, rng, trials, *(window or _radius_window(cloud))
@@ -571,7 +575,7 @@ def check_reverse_holder(
     for j in range(trials):
         cube = Cube(centers[j], float(radii[j]))
         poly = Polynomial(n, degree, exps, coeffs[j], cube.center, cube.half_side)
-        for q, u in qu_pairs:
+        for q, u in REVHOLDER_PAIRS:
             try:
                 ratio = reverse_holder_ratio(cloud, cube, poly, q, u)
             except EmptyCube:
@@ -583,13 +587,12 @@ def check_reverse_holder(
 def check_ahlfors(
     cloud: WeightedPointCloud,
     samples: int,
-    nscales: int,
     seed: int,
     generator: str = "?",
 ):
     """Spread between the extreme normalized ball masses."""
     lo, hi = _radius_window(cloud)
-    scales = np.geomspace(lo, hi, nscales)
+    scales = np.geomspace(lo, hi, AHLFORS_SCALES)
     report = ahlfors_constants(cloud, samples=samples, scales=scales, rng=seed)
     witness = Witness(
         generator,
@@ -674,16 +677,12 @@ def _observe(config, cache, gen_index, name, cloud, window, quota, funcs, checke
         cache,
         _check_rng(config.seed, _TAG_POINCARE, gen_index),
         config.poincare_samples,
-        POINCARE_ALPHA,
-        POINCARE_Q,
         window,
         generator=name,
     )
     yield "poincare_stability", "poincare", worst, wits, n
 
-    left, right, wits = check_sharp_equivalence(
-        cloud, sharp, cache, SHARP_ALPHA, SHARP_EXPONENTS, SHARP_NORM_P, generator=name
-    )
+    left, right, wits = check_sharp_equivalence(cloud, sharp, cache, generator=name)
     n = len(sharp) * (len(SHARP_EXPONENTS) - 1)
     yield "sharp_equivalence_left", None, left, wits, n
     yield "sharp_equivalence_right_stability", "right", right, [], n
@@ -696,17 +695,13 @@ def _observe(config, cache, gen_index, name, cloud, window, quota, funcs, checke
     yield "embedding_stability", "R1", r1, [], n
     yield "embedding_stability", "R2", r2, [], n
 
-    sob = check_sobolev_embedding(
-        cloud, checked, cache, SOBOLEV_K, SOBOLEV_P, generator=name
-    )
+    sob = check_sobolev_embedding(cloud, checked, cache, generator=name)
     if sob is not None:
         yield "sobolev_stability", "sobolev", sob[0], sob[1], len(checked)
 
     worst, wits = check_reverse_holder(
         cloud,
         _check_rng(config.seed, _TAG_REVHOLDER, gen_index),
-        REVHOLDER_DEGREE,
-        REVHOLDER_PAIRS,
         config.revholder_trials,
         window,
         generator=name,
@@ -717,7 +712,6 @@ def _observe(config, cache, gen_index, name, cloud, window, quota, funcs, checke
     report, wit = check_ahlfors(
         cloud,
         config.ahlfors_samples,
-        AHLFORS_SCALES,
         config.seed + _TAG_AHLFORS + gen_index,
         generator=name,
     )

@@ -84,7 +84,6 @@ class TestScaleGrid:
                 scales=np.array([0.5, 1.0]),
                 levels=np.array([1, 0]),
                 diam=1.0,
-                factor=4.0,
             )
 
     def test_looser_factor_allows_deeper_levels(self, interval6):
@@ -99,7 +98,6 @@ class TestScaleGrid:
                 scales=np.array(scales),
                 levels=np.arange(len(scales)),
                 diam=1.0,
-                factor=4.0,
             )
 
     @pytest.mark.parametrize("factor", [np.nan, -1.0, 0.0, np.inf])
@@ -271,7 +269,6 @@ class TestErrorMatrix:
             scales=np.array([2.0, 0.05]),
             levels=np.array([0, 1]),
             diam=2.0,
-            factor=1.0,
         )
         out = fs.approx_error_matrix(cloud, rng.random(8), 2, 1.0, grid)
         assert not np.isnan(out[:, 0]).any()
@@ -281,7 +278,7 @@ class TestErrorMatrix:
         pts = [[0.0, 0.0], [0.01, 0.0], [5.0, 5.0]]
         cloud = make_cloud(pts)
         grid = fs.ScaleGrid(
-            scales=np.array([0.1]), levels=np.array([0]), diam=7.1, factor=1.0
+            scales=np.array([0.1]), levels=np.array([0]), diam=7.1
         )
         with pytest.raises(fs.TooFewPoints):
             fs.approx_error_matrix(cloud, [1.0, 2.0, 3.0], 1, 1.0, grid)
@@ -344,7 +341,7 @@ class TestHlProperties:
 def test_empty_grid_is_not_replaced_by_the_default(dust3):
     # ScaleGrid defines __len__, so an empty grid is falsy; only None means
     # the default grid.
-    empty = fs.ScaleGrid(scales=np.zeros(0), levels=np.zeros(0), diam=1.0, factor=4.0)
+    empty = fs.ScaleGrid(scales=np.zeros(0), levels=np.zeros(0), diam=1.0)
     vals = rough_sample(dust3)
     for call in (
         lambda: fs.sharp_maximal(dust3, vals, 0.5, grid=empty),
@@ -405,7 +402,7 @@ class TestKernelPinnedToCellLoop:
         cloud = make_cloud(np.column_stack([x, y]))
         levels = np.arange(6)
         grid = fs.ScaleGrid(
-            scales=cloud.diam * 2.0**-levels, levels=levels, diam=cloud.diam, factor=1.0
+            scales=cloud.diam * 2.0**-levels, levels=levels, diam=cloud.diam
         )
         vals = np.sin(5.0 * x) + 1e3 * y
         zero = fs.approx_error_matrix(cloud, np.zeros(48), 2, 2.0, grid)

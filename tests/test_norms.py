@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,18 @@ class TestNetBesovNorm:
             w, fv = square4.weights[sel], vals[sel]
             V, _ = fs.monomial_matrix(square4.points[sel], net.cube(cell), 3)
             assert err <= lstsq_error(V, w, fv, 1.0) * (1.0 + 1e-12) + 1e-15
+
+    def test_padding_rows_stay_finite_at_high_degree(self, interval6):
+        # Batches pad their cells with a point at the origin, far outside the
+        # chart of a small cell. At degree 200 its monomials squared to inf
+        # (NaN after its zero weight) at level 2 and broke the SVD at level 5.
+        x = interval6.points[:, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fs.besov_net_norm(
+                interval6, x**3 + np.sin(7.0 * x), 200, 2.0, 2.0, levels=[0, 1, 2, 5]
+            )
+        assert np.all(np.isfinite(res.per_level))
 
     def test_band_against_scale_sum_route(self, dust3):
         vals = cusp_sample(dust3)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -38,6 +39,18 @@ class TestBasisEnumeration:
         for n in (1, 2, 3):
             for k in (0, 1, 2, 3, 4):
                 assert len(fs.multi_indices(n, k - 1)) == fs.basis_size(n, k)
+
+    def test_multi_indices_order_is_graded_decreasing_lexicographic(self):
+        # Every exponent tuple of the box, by total degree, then largest
+        # exponents of the first axes first.
+        for n in (1, 2, 3, 4):
+            for d in range(7):
+                box = itertools.product(range(d + 1), repeat=n)
+                want = sorted(
+                    (e for e in box if sum(e) <= d),
+                    key=lambda e: (sum(e), [-x for x in e]),
+                )
+                assert fs.multi_indices(n, d) == want, (n, d)
 
     def test_basis_size_values(self):
         assert fs.basis_size(2, 2) == 3
@@ -581,7 +594,7 @@ class TestExactL1:
         cloud = make_cloud(np.column_stack([x, y]))
         levels = np.arange(6)
         grid = fs.ScaleGrid(
-            scales=cloud.diam * 2.0**-levels, levels=levels, diam=cloud.diam, factor=1.0
+            scales=cloud.diam * 2.0**-levels, levels=levels, diam=cloud.diam
         )
         vals = np.sin(5.0 * x) + 1e3 * y
         least = fs.approx_error_matrix(cloud, vals, 2, 2.0, grid)

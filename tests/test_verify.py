@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -154,10 +156,7 @@ class TestSingleChecks:
             if tf.name in ("cusp_beta060", "sigmoid_steep")
         ]
         cache = fs.MatrixCache()
-        left, right, wits = fs.check_sharp_equivalence(
-            dust3, funcs, cache, alpha=0.5,
-            exponents=(1.0, 2.0, 4.0), norm_p=4.0,
-        )
+        left, right, wits = fs.check_sharp_equivalence(dust3, funcs, cache)
         assert left <= 1.0 + 1e-8
         assert right >= 1.0
 
@@ -203,10 +202,31 @@ class TestSingleChecks:
 
     def test_poincare_without_functions_evaluates_nothing(self, dust3):
         out = fs.check_poincare(
-            dust3, [], fs.MatrixCache(), np.random.default_rng(0),
-            samples=5, alpha=0.5, q=2.0,
+            dust3, [], fs.MatrixCache(), np.random.default_rng(0), samples=5
         )
         assert out == (0.0, [], 0)
+
+    def test_random_cubes_snap_in_bounded_memory(self):
+        # Snapping 1,500 targets to 4,096 points once formed one
+        # [draws, N, n] difference, 94 MB; each centre must stay the nearest
+        # point by that formula, taken here one target at a time.
+        cloud = fs.build_cloud(fs.generator_spec("interval"), 12)
+        tracemalloc.start()
+        try:
+            centres, radii = verify._random_cubes(
+                cloud, np.random.default_rng(3), 1500, 0.01, 0.1
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        rng = np.random.default_rng(3)
+        lo, hi = cloud.bbox
+        targets = lo + rng.random((1500, 1)) * (hi - lo)
+        nearest = [np.argmin(((t - cloud.points) ** 2).sum(axis=1)) for t in targets]
+        assert np.array_equal(centres, cloud.points[nearest])
+        log_r = np.log(0.01) + rng.random(1500) * (np.log(0.1) - np.log(0.01))
+        assert np.array_equal(radii, np.exp(log_r))
 
 
 class TestRunAll:
