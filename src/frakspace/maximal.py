@@ -10,10 +10,12 @@ alpha.
 coordinate grid allows, reads sums over cubes from summed-area tables. Two
 guards here judge those sums, each by its own rounding bound, and keep a
 table value only within BOX_RTOL / 2 of exact: ``_table_errors`` the moments
-that fix a u = 2 error of degree <= 1 (k <= 2), ``hl_maximal`` the mass and
-the mass of |g|**sigma. Every other cube is gathered, then fitted or summed;
-a local error depends only on the points of its cube, since the polynomial
-space is invariant under translation and scaling.
+that fix a u = 2 error of degree <= 1 (k <= 2), from tables built per scale
+over tiles of side 4t in which f is taken less a fit on the tile, and
+``hl_maximal`` the mass and the mass of |g|**sigma, from tables over the
+whole cloud. Every other cube is gathered, then fitted or summed; a local
+error depends only on the points of its cube, since the polynomial space is
+invariant under translation and scaling.
 
 The fits themselves are ``polyapprox._local_errors``, the kernel that
 ``fit_in_span`` and ``best_approx`` call on one cube, so a gathered matrix
@@ -48,7 +50,8 @@ from .polyapprox import (  # noqa: F401
     point_quota,
 )
 from .rankspace import (
-    CHUNK_ELEMS, _box_sums, _cubes, _fit_batches, _rank_grid, _summed_area, _table_layout,
+    CHUNK_ELEMS, _binned, _box_sums, _cubes, _fit_batches, _rank_grid, _summed_area,
+    _table_layout, _tilings,
 )
 
 __all__ = [
@@ -65,6 +68,8 @@ __all__ = [
 # A u = 2 error read from cube moments is kept when its rounding bound puts it
 # within BOX_RTOL / 2 of the exact error, relative; other cubes are fitted.
 BOX_RTOL = 1e-10
+# An ``hl_maximal`` sum of powers below this has underflowed.
+TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -169,85 +174,82 @@ def _finite_alpha(alpha: float) -> float:
     return alpha
 
 
-def _table_errors(cloud: WeightedPointCloud, layout, values: np.ndarray, k: int, scales,
+def _table_errors(cloud: WeightedPointCloud, rank, values: np.ndarray, k: int, scales,
                   quota, out, settled):
     """A ``settle`` for ``_cubes``: the u = 2 errors of degree <= k - 1 fits
-    (k <= 2) that cube moments fix, read from summed-area tables.
+    (k <= 2) that cube moments fix, read from tile-local summed-area tables.
 
     ``settle(j, reps, runs)`` writes into ``out`` [F, N, S] each normalized
-    error it keeps and marks ``settled`` [F, N, S] where it kept one or the
-    cube holds fewer than ``quota`` points (NaN); it returns the mask of
-    cubes settled for every function.
+    error it keeps, or 0 where it settles one at the clamp, marks those and
+    the cubes of fewer than ``quota`` points (NaN) in ``settled``, and
+    returns the mask of cubes settled for every function. Per scale t it
+    builds the tilings of side 4t that hold some cube (``_tilings``). In a
+    tile x is taken about its centre and f less p, the tile's weighted
+    least-squares polynomial of degree <= k - 1 (``_detrended``), which
+    changes no cube's error. The centred co-moments C of z = (1, x, r) give
+    E**2 = C_rr - 2 C_xr.c + c.C_xx c at c = C_xx**-1 C_xr.
 
-    Moments are taken of x about the cloud's centre and of each f about its
-    weighted mean. Per cube, the centred co-moments C of (x, f) give
-    E**2 = C_ff - 2 C_xf.c + c.C_xx c at c = C_xx**-1 C_xf.
-
-    The rounding bound: a box sum of a table of q, the rounding of each
-    point's product included, is within beta * sum|q| of exact, where
-    beta = 2**n (depth + 2**n + 3) u, u = eps / 2 the unit roundoff and
-    depth that of ``_table_layout``. So each co-moment C_ij is within
-    2 beta (|P| A |P|^T)_ij, the factor 2 covering the centring's own
-    rounding, with A the cloud's sums of w |z_i z_j| over z = (1, x, f)
-    and P = [-zbar | I] from the cube means. At v = (-c, 1), E**2 is then
-    within 2 beta y.A.y, y = |P|^T |v|, which also covers the arithmetic of
-    the form and the minimizer of the exact moments, kept within
-    sqrt(BOX_RTOL) relative of c by the conditioning test below. A cell
-    keeps its error when that bound plus beta A_ww / mass, the bound on its
-    mass, stays within BOX_RTOL of E**2, its count meets ``quota``, its
-    C_xx is well conditioned (the kernel's rank test passes, and C_xx's own
-    error moves c by at most sqrt(BOX_RTOL) relative), and its error is
-    clear of the kernel's zero clamp taken with the cloud's max|f|. Cells
-    that keep nothing are left for the kernel.
-
-    All tables are built at once, m + 2 + m (m + 1) / 2 shared and m + 2
-    per function, each of about N to GRID_CELLS_PER_POINT * N entries.
+    Rounding: a box sum of a table of q is within gamma = (depth + 2**n + 3)
+    u (u = eps / 2, depth of ``_table_layout``) times the corner sums of |q|,
+    which for q = w z_i z_j are at most a_i a_j, a_i**2 those of w z_i**2.
+    With P = [-zbar | I] from the cube means, E**2 at v = (-c, 1) is then
+    within 2 gamma ((|P| a).|v|)**2, c kept within sqrt(BOX_RTOL) of the
+    exact minimizer by the conditioning test; the rounding of r and of x
+    moves E by at most eta. A cell keeps its error when these and the mass's
+    bound put it within BOX_RTOL / 2 of exact, its count meets ``quota``,
+    the kernel's rank test passes, and it clears the kernel's zero clamp
+    taken with max|f|. It is settled at 0 when its bound on E lies below the
+    clamp taken with a lower bound on its own max|f| (its centre's |f| or
+    its RMS), as the kernel would report it. Others are left for the kernel.
     """
     pts, w = cloud.points, cloud.weights
     n, nfun = pts.shape[1], values.shape[0]
     m = n if k == 2 else 0  # the x columns of the fit: none for constants
-    lo, hi = cloud.bbox
-    x = (pts - 0.5 * (lo + hi))[:, :m]
-    f = values - (values @ w / w.sum())[:, None]
-    pairs = [(a, b) for a in range(m) for b in range(a, m)]
-    shared = [np.ones_like(w), w, *(w * x[:, a] for a in range(m))]
-    shared += [w * x[:, a] * x[:, b] for a, b in pairs]
-    own = [[w * g, *(w * x[:, a] * g for a in range(m)), w * g * g] for g in f]
-    tables = _summed_area(layout, shared + [q for qs in own for q in qs])
-    # The cloud's absolute moments A [F, m + 2, m + 2] of z = (1, |x|, |f|).
-    absolute = np.empty((nfun, m + 2, m + 2))
-    for into, g in zip(absolute, f):
-        z = np.column_stack([np.ones_like(w), np.abs(x), np.abs(g)])
-        into[:] = (z.T * w) @ z
-    beta = 2**n * (layout[2] + 2**n + 3) * 0.5 * np.finfo(float).eps
+    pairs = [(a, b) for a in range(m + 1) for b in range(a, m + 1)]
+    squares, shared = [1 + pairs.index((a, a)) for a in range(m + 1)], 1 + len(pairs)
+    unit = 0.5 * np.finfo(float).eps
     peak = np.abs(values).max(axis=1)[:, None]
 
     def settle(j, reps, runs):
         t = scales[j]
-        for part, sums, _ in _box_sums(layout, tables, runs):
-            rows = reps[part]
-            count, mass = sums[0], sums[1]
-            Sx = sums[2 : 2 + m].T
-            Sxx = np.empty((mass.size, m, m))
-            for row, (a, b) in zip(sums[2 + m : len(shared)], pairs):
-                Sxx[:, a, b] = Sxx[:, b, a] = row
-            own_sums = sums[len(shared) :].reshape(nfun, m + 2, -1)
-            Sf, Sxf, Sff = (own_sums[:, i] for i in (0, slice(1, 1 + m), -1))
-            Sxf = np.swapaxes(Sxf, 1, 2)
-            xbar, fbar = Sx / mass[:, None], Sf / mass
-            Cxx = Sxx - Sx[:, :, None] * xbar[:, None, :]
-            Cxf = Sxf - Sx * fbar[..., None]
-            E2 = Sff - Sf * fbar
-            zbar = np.concatenate([np.broadcast_to(xbar, Cxf.shape), fbar[..., None]], axis=2)
-            zbar = np.abs(zbar)
-            # Diagonal of |P| A |P|^T, per function, cube and column of z.
-            diag = (
-                zbar * zbar * absolute[:, None, :1, 0]
-                + 2.0 * zbar * absolute[:, None, 0, 1:]
-                + np.diagonal(absolute, axis1=1, axis2=2)[:, None, 1:]
-            )
-            keep = np.broadcast_to(count >= quota, E2.shape)
-            c = np.zeros(Cxf.shape)
+        tiles, which = _tilings(rank, runs, 4.0 * t)
+        stack = np.flatnonzero(np.bincount(which + 1, minlength=2**n + 1)[1:])
+        layout = _table_layout(rank, tiles, stack)
+        if layout is None:
+            return np.zeros(reps.size, dtype=bool)
+        pick, part = layout.pick, np.flatnonzero(which >= 0)
+        which = np.searchsorted(stack, which[part])
+        # Each point's tile across the stack [V, N], and z = (1, x) [m + 1, V, N].
+        counts = [int(number.max()) + 1 for number in tiles]
+        per = math.prod(counts)
+        tile = np.arange(len(pick))[:, None] * per + np.ravel_multi_index(
+            [number[pick[:, a]][:, r - 1] for a, (number, r) in enumerate(zip(tiles, rank.ranks))], counts
+        )
+        homes = tile[which, reps[part]]  # a cube's tile holds its centre
+        z = np.ones((m + 1,) + tile.shape)
+        for a, (p, x, r) in enumerate(zip(pts.T[:m], rank.axes, rank.ranks)):
+            centre = x[0] + (tiles[a] + np.array([[0.5], [0.0]])) * 4.0 * t
+            z[1 + a] = p - centre[pick[:, a]][:, r - 1]
+        r, coef = _detrended(z, w, values, tile, len(pick) * per, 2.0 * t)
+        # The count, w z_a z_b, and per function w z_a r and w r r.
+        tables = _summed_area(layout, _moments(z, w, r, pairs, count=True))
+        del z, r
+        gamma = (layout.depth + 2**n + 3) * unit
+        for chunk, sums, spread in _box_sums(layout, tables, runs[part], which):
+            rows, fit, count = reps[part[chunk]], coef[:, homes[chunk]], sums[0]
+            S = np.empty((nfun, count.size, m + 2, m + 2))
+            for row, (a, c) in zip(sums[1:shared], pairs):
+                S[..., a, c] = S[..., c, a] = row
+            S[..., m + 1] = S[..., m + 1, :] = sums[shared:].reshape(nfun, m + 2, -1).transpose(0, 2, 1)
+            mass = S[0, :, 0, 0]
+            zbar = S[..., 0, 1:] / mass[:, None]
+            C = S[..., 1:, 1:] - S[..., 1:, :1] * zbar[..., None, :]
+            Cxx, Cxf, E2 = C[0, :, :m, :m], C[..., :m, m], C[..., m, m]
+            a = np.empty((nfun, count.size, m + 2))
+            a[..., : m + 1], a[..., m + 1] = spread[squares].T, spread[shared + m + 1 :: m + 2]
+            np.sqrt(a, out=a)
+            Pa = np.abs(zbar) * a[..., :1] + a[..., 1:]
+            sound, c = count >= quota, np.zeros(Cxf.shape)
             if m:
                 # One eigendecomposition per cube serves every function.
                 spectrum, basis = np.linalg.eigh(Cxx)
@@ -257,22 +259,77 @@ def _table_errors(cloud: WeightedPointCloud, layout, values: np.ndarray, k: int,
                 along = (Cxf[..., None, :] @ basis)[..., 0, :] / spectrum
                 c = (basis @ along[..., None])[..., 0]
                 E2 = E2 + (((Cxx @ c[..., None])[..., 0] - 2.0 * Cxf) * c).sum(axis=2)
-                trace = 2.0 * beta * diag[..., :m].sum(axis=2)
-                moved = trace + np.sqrt(trace * 2.0 * beta * diag[..., m])
-                keep = keep & ranked & (moved <= math.sqrt(BOX_RTOL) * lam)
-            v = np.abs(c)
-            y0 = (zbar[..., :m] * v).sum(axis=2, keepdims=True) + zbar[..., m:]
-            y = np.concatenate([y0, v, np.ones(E2.shape + (1,))], axis=2)
-            bound = 2.0 * beta * ((y @ absolute) * y).sum(axis=2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                norm = np.sqrt(E2 / mass)
-                keep = keep & (bound + E2 * beta * absolute[:, :1, 0] / mass <= BOX_RTOL * E2)
-            keep = keep & (norm > CLAMP_REL * peak * (1.0 + BOX_RTOL))
-            out[:, rows, j] = np.where(keep, norm, np.nan)
-            settled[:, rows, j] = keep | (count < quota)
+                trace = 2.0 * gamma * (Pa[..., :m] ** 2).sum(axis=2)
+                moved = trace + np.sqrt(trace * 2.0 * gamma) * Pa[..., m]
+                sound = sound & ranked & (moved <= math.sqrt(BOX_RTOL) * lam)
+            v, E2, root = np.abs(c), np.maximum(E2, 0.0), np.sqrt(mass)
+            bound = 2.0 * gamma * ((Pa[..., :m] * v).sum(axis=2) + Pa[..., m]) ** 2
+            slope = np.abs(fit[..., 1:]).sum(axis=2)
+            eta = 2 * (m + 1) * unit * ((1.0 + unit) * a[..., -1] + root * (2.5 * t * slope + unit * peak))
+            eta += unit * 2.5 * t * root * (v.sum(axis=2) + slope)
+            weighed = gamma * a[..., 0] ** 2 / mass
+            norm = np.sqrt(E2 / mass)
+            keep = sound & (bound + E2 * weighed + 2.0 * eta * np.sqrt(E2) <= BOX_RTOL * E2)
+            keep &= norm > CLAMP_REL * peak * (1.0 + BOX_RTOL)
+            # sqrt(mass) times lower bounds on max|f|: the centre's |f|, and
+            # the RMS of r + c0 + b.x from the moments, less their rounding;
+            # only cells whose E may lie below the clamp need them.
+            top = np.sqrt(E2 + bound) + eta
+            zero = sound & (weighed <= BOX_RTOL) & (top <= CLAMP_REL * peak * root)
+            if zero.any():
+                fit = np.concatenate([fit, np.ones(E2.shape + (1,))], axis=2)
+                power = (fit[..., None] * S * fit[..., None, :]).sum(axis=(2, 3))
+                power -= gamma * ((np.abs(fit) * a).sum(axis=2)) ** 2
+                low = np.maximum(np.abs(values[:, rows]) * root, np.sqrt(np.maximum(power, 0.0)) - eta)
+                zero &= top <= CLAMP_REL * low * (1.0 - BOX_RTOL)
+            out[:, rows, j] = np.where(keep, norm, np.where(zero, 0.0, np.nan))
+            settled[:, rows, j] = keep | zero | (count < quota)
         return settled[:, reps, j].all(axis=0)
 
     return settle
+
+
+def _moments(z, w, r, pairs, count=False):
+    """Rows of w z_a z_b over ``pairs``, after ones if ``count``, then per
+    function of ``r`` [F, V, N] w z_a r and w r r."""
+    out = np.empty((count + len(pairs) + len(r) * (len(z) + 1),) + z.shape[1:])
+    out[:count] = 1.0
+    for into, (a, b) in zip(out[count:], pairs):
+        np.multiply(w * z[a], z[b], out=into)
+    own = out[count + len(pairs) :].reshape((len(r), len(z) + 1) + z.shape[1:])
+    np.multiply(w * z, r[:, None], out=own[:, :-1])
+    np.multiply(w * r, r, out=own[:, -1])
+    return out
+
+
+def _detrended(z, w, values, tile, ntile, width):
+    """r = f - p [F, V, N] and p's coefficients (c0, b) [F, tiles, m + 1]:
+    each tile's weighted mean (k = 1) or least-squares line in the chart
+    x / width (k = 2), exactly c0 + b.x as stored. lead + tail = c0 + b.x to
+    the rounding of the products (TwoSum), so r is rounded by at most m + 1
+    ulps of |b.x| <= 2.5 t |b| plus two of |r|, which eta bounds per cube.
+    """
+    m, nfun = len(z) - 1, len(values)
+    if not m:
+        sums = _binned(tile, ntile, w * np.concatenate([z, values[:, None] * z]))
+        coef = (sums[1:] / np.maximum(sums[0], 1e-300))[..., None]
+        return values[:, None] - coef[:, tile, 0], coef
+    chart = z.copy()
+    chart[1:] /= width
+    pairs = [(a, b) for a in range(m + 1) for b in range(a, m + 1)]
+    sums = _binned(tile, ntile, _moments(chart, w, values[:, None] * z[0], pairs))
+    gram = np.empty((ntile, m + 1, m + 1))
+    for row, (a, b) in zip(sums, pairs):
+        gram[:, a, b] = gram[:, b, a] = row
+    used, coef = gram[:, 0, 0] > 0.0, np.zeros((nfun, ntile, m + 1))
+    rhs = sums[len(pairs) :].reshape(nfun, m + 2, ntile)[:, : m + 1, used].transpose(0, 2, 1)
+    coef[:, used] = (np.linalg.pinv(gram[used], 1e-10, hermitian=True) @ rhs[..., None])[..., 0]
+    coef[..., 1:] /= width
+    c0, bx = coef[:, tile, 0], coef[:, tile, 1:] * z[1:].transpose(1, 2, 0)
+    q = bx.sum(axis=-1)
+    lead = c0 + q
+    tail = (c0 - (lead - (lead - c0))) + (q - (lead - c0))
+    return (values[:, None] - lead) - tail, coef
 
 
 def _no_scale(point: int, needed: int, k: int) -> TooFewPoints:
@@ -296,12 +353,13 @@ def error_matrices(
     Cubes of one scale that hold the same points share the fit of the first
     such centre, since the error depends on the point set only.
 
-    At u = 2 with k <= 2, errors are read from summed-area tables of cube
-    moments where the cloud's coordinate grid allows them and a rounding
-    bound keeps each within BOX_RTOL / 2 of exact (``_table_errors``); the
-    cubes left over are fitted as above, in batches that fit each function
-    the tables left open on some cube of the batch, and those fits replace
-    the batch's table values. So a cell's last bits depend on which functions
+    At u = 2 with k <= 2, errors are read from tile-local summed-area tables
+    of cube moments where the cloud's coordinate grid allows them and a
+    rounding bound keeps each within BOX_RTOL / 2 of exact, or settles it at
+    the kernel's zero clamp (``_table_errors``); the cubes left over are
+    fitted as above, in batches that fit each function the tables left open
+    on some cube of the batch, and those fits replace the batch's table
+    values. So a cell's last bits depend on which functions
     share the call, since batch sizes follow the function count (up to
     1.8e-12 relative in the cases that README's verify section lists).
     """
@@ -323,9 +381,8 @@ def error_matrices(
     out = np.full((values.shape[0], cloud.size, len(grid)), np.nan)
     settled = np.zeros(out.shape, dtype=bool)
     settle = None
-    layout = _table_layout(rank) if u == 2.0 and k <= 2 else None
-    if layout is not None:
-        settle = _table_errors(cloud, layout, values, k, grid.scales, needed, out, settled)
+    if u == 2.0 and k <= 2:
+        settle = _table_errors(cloud, rank, values, k, grid.scales, needed, out, settled)
     for j, first, batches in _cubes(rank, grid.scales, needed, budget, settle):
         for centres, idx in batches:
             V, w, f, mass = batch(idx, cloud.points[centres], grid.scales[j])
@@ -414,6 +471,8 @@ def hl_maximal(
     keeps its table average only when that bound puts M_sigma within
     BOX_RTOL / 2 of exact; every other cube is gathered and summed. Powers
     are taken in units of max|g|, so none overflows and the largest is 1.
+    A cube whose sum of powers is below TINY is gathered and averaged in
+    units of its own max|g|, its root entering the maximum directly.
     """
     if not 0.0 < sigma < math.inf:
         raise OutOfRange(f"sigma must be positive and finite, got {sigma}")
@@ -428,25 +487,35 @@ def hl_maximal(
     layout = _table_layout(rank)
     if layout is not None:
         tables = _summed_area(layout, [wts[:-1], powered[:-1]])
-        rounding = (layout[2] + 2**cloud.ambient_dim + 1) * 0.5 * np.finfo(float).eps
+        rounding = (layout.depth + 2**cloud.ambient_dim + 1) * 0.5 * np.finfo(float).eps
 
         def settle(j, reps, runs):
             keep = np.empty(reps.size, dtype=bool)
-            for part, (mass, total), spread in _box_sums(layout, tables, runs, unsigned=True):
+            for part, (mass, total), spread in _box_sums(layout, tables, runs):
                 average[reps[part]] = total / mass
                 # Relative errors of mass and total add in the average, and
                 # the power 1 / sigma scales them.
                 bound = rounding * (spread[0] * total + spread[1] * mass)
-                keep[part] = bound <= 0.5 * sigma * BOX_RTOL * mass * total
+                keep[part] = (bound <= 0.5 * sigma * BOX_RTOL * mass * total) & (total >= TINY)
             return keep
 
-    best = np.zeros(cloud.size)
+    best, floor, padded = np.zeros(cloud.size), np.zeros(cloud.size), np.append(values, 0.0)
     for _, first, batches in _cubes(rank, grid.scales, 1, CHUNK_ELEMS, settle):
+        low = np.zeros(cloud.size)
         for centres, idx in batches:
-            average[centres] = powered[idx].sum(axis=1) / wts[idx].sum(axis=1)
+            total = powered[idx].sum(axis=1)
+            average[centres] = total / wts[idx].sum(axis=1)
+            under = np.flatnonzero(total < TINY)
+            if under.size:
+                own, w = padded[idx[under]], wts[idx[under]]
+                peak = own.max(axis=1)
+                ratio = own / np.where(peak > 0.0, peak, 1.0)[:, None]
+                low[centres[under]] = peak * ((w * ratio**sigma).sum(axis=1) / w.sum(axis=1)) ** (1.0 / sigma)
+                average[centres[under]] = 0.0
         np.maximum(best, average[first], out=best)
+        np.maximum(floor, low[first], out=floor)
     name = getattr(g, "name", "")
     return GridFunction(
-        cloud, unit * best ** (1.0 / sigma), name=f"hl({name})" if name else "hl",
-        meta={"sigma": sigma},
+        cloud, np.maximum(unit * best ** (1.0 / sigma), floor),
+        name=f"hl({name})" if name else "hl", meta={"sigma": sigma},
     )

@@ -221,13 +221,24 @@ def besov_net_norm(
     levels = [int(v) for v in levels]
     if not levels:
         raise OutOfRange("need at least one net level")
-    budget, batch = _fit_batches(cloud, cloud.values_of(f)[None], k)
-    terms, unconverged = [], 0
+    nets, groups, weights = [], [], []
     for nu in levels:
-        net = dyadic_net(nu, cloud.bbox, offset=offset)
-        errors, stopped = _net_errors(cloud, net, budget, batch, p)
-        terms.append(net.mesh**-alpha * float(np.sum(errors**p) ** (1.0 / p)))
-        unconverged += stopped
+        nets.append(dyadic_net(nu, cloud.bbox, offset=offset))
+        groups.append(_occupied(nets[-1].assign(cloud.points)))
+        try:
+            weights.append(nets[-1].mesh**-alpha)
+        except OverflowError:
+            raise OutOfRange(f"mesh**-alpha overflows at level {nu} for alpha={alpha}") from None
+    # Degree k - 1 interpolates any data on k distinct points, so when no
+    # occupied cell holds more, every fit is exact and every term 0; the
+    # basis, whose size grows with k, is then never listed.
+    terms, unconverged = [0.0] * len(levels), 0
+    if max(int(group[-1].max()) for group in groups) > k:
+        budget, batch = _fit_batches(cloud, cloud.values_of(f)[None], k)
+        for i, (net, group) in enumerate(zip(nets, groups)):
+            errors, stopped = _net_errors(cloud, net, budget, batch, p, group)
+            terms[i] = weights[i] * float(np.sum(errors**p) ** (1.0 / p))
+            unconverged += stopped
     terms_arr = np.asarray(terms)
     if q == math.inf:
         seminorm = float(terms_arr.max())
@@ -241,21 +252,26 @@ def besov_net_norm(
     )
 
 
-def _net_errors(cloud: WeightedPointCloud, net: Net, budget: int, batch, p: float):
-    """L^p errors of the best fits on the occupied cells of ``net``, by label,
-    and the number of those fits that did not converge.
+def _occupied(cells: np.ndarray):
+    """(cells, order, starts, counts) of the occupied cells of the labels
+    ``cells``: one stable sort lists each cell's points in index order."""
+    order = np.argsort(cells, kind="stable")
+    starts = np.flatnonzero(np.concatenate([[True], np.diff(cells[order]) != 0]))
+    return cells, order, starts, np.diff(np.append(starts, cells.size))
 
-    One stable sort of the cell labels lists each cell's points in index
-    order; cells go to the kernel largest first, in the padded batches of
+
+def _net_errors(cloud: WeightedPointCloud, net: Net, budget: int, batch, p: float, occupied=None):
+    """L^p errors of the best fits on the occupied cells of ``net``
+    (``occupied``, as ``_occupied`` lists them), by label, and the number of
+    those fits that did not converge.
+
+    Cells go to the kernel largest first, in the padded batches of
     ``rankspace._padded_batches``. A cell the kernel calls rank deficient is
     fitted over the same span in a full-rank basis, the right singular
     vectors of sqrt(w) V above the kernel's rank threshold; cells of one
     rank share one call.
     """
-    cells = net.assign(cloud.points)
-    order = np.argsort(cells, kind="stable")
-    starts = np.flatnonzero(np.concatenate([[True], np.diff(cells[order]) != 0]))
-    counts = np.diff(np.append(starts, cloud.size))
+    cells, order, starts, counts = occupied or _occupied(net.assign(cloud.points))
     by_size = np.argsort(-counts, kind="stable")
     starts, counts = starts[by_size], counts[by_size]
     labels = cells[order[starts]]

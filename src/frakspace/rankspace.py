@@ -6,7 +6,10 @@ Centres whose runs agree on every axis hold the same points: per scale
 ``_cubes`` finds these groups and gathers the first centre of each. Where
 the grid has at most GRID_CELLS_PER_POINT cells per point, box sums are read
 instead from summed-area tables (Crow 1984), 2**n corner lookups each
-(``_box_sums``), and each caller judges them by its own rounding bound.
+(``_box_sums``), and each caller judges them by its own rounding bound. The
+tables may restart at tile faces (``_tilings``): an entry then sums only its
+own tile, so a box inside one tile is summed from local terms, and stacks
+of tilings are built and scanned as one array (``_table_layout``).
 
 Cubes and net cells alike go to numpy in batches idx[L, W] of point indices
 (``_padded_batches``): a row per cell, its members first, then the index N.
@@ -15,6 +18,7 @@ zero, so padding adds nothing to a mass, a sum or a fit (``_fit_batches``).
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -169,87 +173,134 @@ def _admitted_runs(coords: np.ndarray, centres: np.ndarray, t: float) -> np.ndar
     """
     lo = np.searchsorted(coords, centres - t)
     hi = np.searchsorted(coords, centres + t, side="right")
-
-    def admitted(i):
-        return np.abs(centres - coords[np.clip(i, 0, coords.size - 1)]) <= t
-
     # c - t and c + t are rounded: move each end until the test admits the
     # coordinate just inside it and not the one just outside.
     while True:
-        lo_up, lo_down = ~admitted(lo), (lo > 0) & admitted(lo - 1)
-        hi_down, hi_up = ~admitted(hi - 1), (hi < coords.size) & admitted(hi)
+        ends = np.stack([lo, lo - 1, hi - 1, hi])
+        inside = np.abs(centres - coords.take(ends, mode="clip")) <= t
+        lo_down, hi_up = (lo > 0) & inside[1], (hi < coords.size) & inside[3]
+        lo_up, hi_down = ~inside[0], ~inside[2]
         if not (lo_up | lo_down | hi_down | hi_up).any():
             return np.stack([lo, hi], axis=1)
         lo = lo + lo_up - lo_down
         hi = hi + hi_up - hi_down
 
 
-def _table_layout(rank: _RankGrid):
+def _tilings(rank: _RankGrid, runs: np.ndarray, side: float):
+    """(tiles, which): per axis each distinct coordinate x's tile number
+    [2, L] in two cuts into tiles of ``side`` from x[0], the second shifted
+    by side / 2 (tile j's centre x[0] + (j + 1/2) side or x[0] + j side),
+    and for each box of ``runs`` [C, n, 2] the tiling of the stack of
+    ``_table_layout(rank, tiles)`` holding it, unshifted cuts first, or -1
+    where a rounded face splits a run of exactly side / 2."""
+    tiles = []
+    which, split = np.zeros(len(runs), dtype=int), np.zeros(len(runs), dtype=bool)
+    for x, (lo, hi) in zip(rank.axes, runs.transpose(1, 2, 0)):
+        tiles.append(np.floor((x - x[0]) / side + np.array([[0.0], [0.5]])).astype(int))
+        held = tiles[-1][:, lo] == tiles[-1][:, hi - 1]
+        which = 2 * which + ~held[0]
+        split |= ~(held[0] | held[1])
+    which[split] = -1
+    return tiles, which
+
+
+_Layout = collections.namedtuple("_Layout", "cells shape depth reach pick")
+
+
+def _table_layout(rank: _RankGrid, tiles=None, stack=None):
     """Where the rank grid has at most GRID_CELLS_PER_POINT cells per point,
-    (cells, shape, depth) of its summed-area tables; else None.
+    the ``_Layout`` of tables over a stack of its tilings; else None.
 
-    A table of ``shape`` has one entry more per axis than that axis has
-    distinct coordinates, entry 0 being the empty prefix, and point i adds
-    to its entry ``cells[i]``. ``depth`` bounds the rounded additions any
-    one point's term passes through on its way into a table entry
-    (``_summed_area``).
+    ``tiles`` holds per axis versions [V_a, L] of nondecreasing tile numbers
+    (one tile if None); stack entry s takes version pick[s, a] on axis a
+    (all choices, axis 0 slowest, or ``stack``'s). An entry per grid cell,
+    ``shape`` (V, L_0, ...), sums its tile's points of ranks up to its own;
+    point i adds to entry ``cells[s, i]``; ``reach[a][v, r]`` counts the
+    coordinates before r in its tile; ``depth`` bounds the roundings a term
+    passes on its way into an entry (``_summed_area``).
     """
-    if math.prod(x.size for x in rank.axes) > GRID_CELLS_PER_POINT * len(rank.points):
+    shape = tuple(x.size for x in rank.axes)
+    if math.prod(shape) > GRID_CELLS_PER_POINT * len(rank.points):
         return None
-    shape = tuple(x.size + 1 for x in rank.axes)
-    cells = np.ravel_multi_index(rank.ranks, shape)
+    if tiles is None:
+        tiles = [np.zeros((1, size), dtype=int) for size in shape]
+    pick = np.array(list(itertools.product(*(range(len(v)) for v in tiles))))
+    pick = pick if stack is None else pick[stack]
+    cells = np.ravel_multi_index([r - 1 for r in rank.ranks], shape)
     # bincount adds the points that share a cell, then each axis's prefix
-    # sums add ceil(log2(L)) times (``_summed_area``).
-    depth = int(np.bincount(cells).max()) - 1
-    depth += sum((length - 1).bit_length() for length in shape)
-    return cells, shape, depth
+    # sums add ceil(log2(coordinates per tile)) times.
+    depth, reach = int(np.bincount(cells).max()) - 1, []
+    for versions in tiles:
+        coord, first = np.arange(versions.shape[1]), np.ones(versions.shape, dtype=bool)
+        first[:, 1:] = versions[:, 1:] != versions[:, :-1]
+        reach.append(coord - np.maximum.accumulate(np.where(first, coord, 0), axis=1))
+        depth += int(reach[-1].max() + 1).bit_length()
+    cells = cells + math.prod(shape) * np.arange(len(pick))[:, None]
+    return _Layout(cells, (len(pick),) + shape, depth, reach, pick)
 
 
-def _summed_area(layout, quantities: list) -> np.ndarray:
-    """Summed-area tables [T, G] of T per-point ``quantities`` [N] (``_table_layout``).
+def _binned(index: np.ndarray, size: int, quantities) -> np.ndarray:
+    """Sums [R, size] of each row of ``quantities`` [R, ...] over the bins
+    ``index``, with at most CHUNK_ELEMS indices per ``np.bincount``."""
+    quantities = np.asarray(quantities)
+    out = np.empty((len(quantities), size))
+    step = max(1, CHUNK_ELEMS // index.size)
+    for start in range(0, len(quantities), step):
+        part = quantities[start : start + step]
+        at = (index.ravel() + size * np.arange(len(part))[:, None]).ravel()
+        out[start : start + step] = np.bincount(at, part.ravel(), size * len(part)).reshape(-1, size)
+    return out
 
-    Entry e of table t sums quantities[t] over the points whose rank on
-    every axis lies below e's index there. Each axis of L entries takes its
-    prefix sums in ceil(log2(L)) doubling steps, each adding to every entry
-    the one a power of two before it, so a term passes through that many
-    roundings per axis where a running sum would take up to L - 1. Tables
-    are scanned one at a time, so the scan's temporary is one table.
+
+def _summed_area(layout: _Layout, quantities) -> np.ndarray:
+    """Summed-area tables [T, V G] of per-point ``quantities`` [T, V, N]
+    ([T, N] if V = 1), scanned at once: per axis ceil(log2(L)) doubling steps
+    for tiles of L coordinates, each adding to every entry the one a power
+    of two before it in its tile, where a running sum would take L - 1."""
+    count, size = len(quantities), math.prod(layout.shape)
+    tables = _binned(layout.cells, size, quantities).reshape((count,) + layout.shape)
+    del quantities  # the caller passes its only reference
+    for axis, reach in enumerate(layout.reach):
+        x = tables.swapaxes(axis + 2, -1)
+        reach = reach[layout.pick[:, axis]]
+        reach = reach.reshape(reach.shape[:1] + (1,) * (len(layout.reach) - 1) + reach.shape[1:])
+        for shift in (2**b for b in range(int(reach.max()).bit_length())):
+            np.add(x[..., shift:], x[..., :-shift], out=x[..., shift:], where=reach[..., shift:] >= shift)
+    return tables.reshape(count, size)
+
+
+def _box_sums(layout: _Layout, tables: np.ndarray, runs: np.ndarray, which=None):
+    """Each of ``tables`` [T, V G] summed over boxes of the rank grid, in chunks.
+
+    ``runs`` [C, n, 2] holds each box's runs [lo, hi) of distinct coordinates
+    (``_cubes``), inside a tile of the stack's tiling ``which[c]`` (0 if
+    None). Yields (part, sums, spread), sums [T, len(part)] for at most
+    CHUNK_ELEMS // T boxes: the 2**n corner entries, of rank hi - 1 or lo - 1
+    per axis (0 if lo opens a tile), with alternating signs, all-upper
+    first. ``spread`` adds the corners; for tables of nonnegative terms it
+    bounds every partial sum.
     """
-    cells, shape, _ = layout
-    tables = np.empty((len(quantities), math.prod(shape)))
-    for table, q in zip(tables, quantities):
-        table[:] = np.bincount(cells, weights=q, minlength=table.size)
-        table = table.reshape(shape)
-        for axis in range(table.ndim):
-            x = np.moveaxis(table, axis, -1)
-            for shift in (2**b for b in range((x.shape[-1] - 1).bit_length())):
-                x[..., shift:] = x[..., shift:] + x[..., :-shift]
-    return tables
-
-
-def _box_sums(layout, tables: np.ndarray, runs: np.ndarray, unsigned=False):
-    """Each of ``tables`` [T, G] summed over boxes of the rank grid, in chunks.
-
-    ``runs`` [C, n, 2] holds each box's run [lo, hi) of distinct coordinates
-    per axis, as ``_cubes`` finds them. Yields (part, sums, spread) for
-    slices ``part`` of at most CHUNK_ELEMS // T boxes, sums [T, len(part)].
-    A box's sum adds the table's 2**n corner entries with alternating signs,
-    the all-upper corner first. ``spread`` is None, or with ``unsigned`` the
-    same corners all added, which for tables of nonnegative terms bounds
-    every partial sum.
-    """
-    shape = layout[1]
-    ends = runs * np.cumprod((1,) + shape[:0:-1])[::-1, None]
-    corners = list(itertools.product((1, 0), repeat=len(shape)))
+    entries = layout.shape[1:]
+    ends = np.maximum(runs - 1, 0) * np.cumprod((1,) + entries[:0:-1])[::-1, None]
+    versions = [0] * len(entries) if which is None else layout.pick[which].T
+    inner = [reach[v, lo] > 0 for reach, v, lo in zip(layout.reach, versions, runs[:, :, 0].T)]
+    base = 0 if which is None else which * math.prod(entries)
+    corners = []  # (entries, None or where no lower end opens a tile, sign)
+    for c in itertools.product((1, 0), repeat=len(entries)):
+        low = [inner[a] for a, s in enumerate(c) if not s]
+        at = base + sum(ends[:, a, s] for a, s in enumerate(c))
+        corners.append((at, np.logical_and.reduce(low) if low else None, np.subtract if len(low) % 2 else np.add))
     step = max(1, CHUNK_ELEMS // len(tables))
     for start in range(0, len(runs), step):
         part = slice(start, start + step)
         sums = spread = 0.0
-        for c in corners:
-            at = np.take(tables, sum(ends[part, a, s] for a, s in enumerate(c)), axis=1)
-            sums = (np.subtract if (len(c) - sum(c)) % 2 else np.add)(sums, at)
-            spread = spread + at if unsigned else None
-        del at  # not held while the caller reads the chunk
+        for at, live, sign in corners:
+            value = np.take(tables, at[part], axis=1)
+            if live is not None:
+                value *= live[part]
+            sums = sign(sums, value)
+            spread = spread + value
+        del value  # not held while the caller reads the chunk
         yield part, sums, spread
 
 

@@ -709,14 +709,17 @@ class TestBoxSums:
     def test_a_large_offset_or_trend_sends_cells_to_the_gather_path(
         self, cantor4_d4, monkeypatch, k, trend
     ):
-        # A large constant offset: the tables see f about its mean, but the
-        # kernel's zero clamp scales with max|f|, so errors near it must be
-        # fitted. A steep linear trend, which the k = 2 fit removes, leaves
-        # the cube moments to cancel, and the rounding bound must refuse them.
+        # A large step: the tables take f about a fit on each tile, which a
+        # step inside the tile leaves as large as the step, so the moments of
+        # cubes in such tiles cancel, and the rounding bound must refuse
+        # them (a constant offset the tile fits remove exactly). A steep
+        # linear trend, which the tile fits remove, still moves each cube's
+        # error by the rounding of x about its tile's centre times the
+        # slope, and the bound must refuse that too.
         cloud = cantor4_d4
         grid = fs.ScaleGrid.dyadic(cloud)
         base = rough_sample(cloud)[None]
-        added = 1e6 * cloud.points[:, 0] if trend else 1e10
+        added = 1e6 * cloud.points[:, 0] if trend else 1e10 * (cloud.points[:, 0] > 0.5)
         fits = []
         for vals in (base, base + added):
             def matrices():
@@ -727,3 +730,74 @@ class TestBoxSums:
             self.assert_agree(got, want, vals)
             fits.append(fit)
         assert fits[1] > fits[0]
+
+    @pytest.mark.parametrize("name,depth,cap", [("interval", 12, 32736 * 15 // 100), ("cantor4", 6, 5179 // 2)])
+    def test_tile_tables_on_4096_point_clouds(self, monkeypatch, name, depth, cap):
+        # Tiles of side 4t keep the tables' sums local, so at 4,096 points
+        # they settle nearly every cube; the caps are the kernel cells of one
+        # (2, 2) call on cusp_beta060 (battery seed 1) before the tiles:
+        # 15% of 32,736 on interval d12 and half of 5,179 on cantor4 d6.
+        cloud = build(name, depth)
+        grid = fs.ScaleGrid.dyadic(cloud)
+        cusp = [fs.sample(tf, cloud).values for tf in fs.battery(cloud, seed=1)
+                if tf.name == "cusp_beta060"][0]
+        vals = np.stack([cusp, rough_sample(cloud)])
+        for k in (1, 2):
+            def matrices():
+                return fs.error_matrices(cloud, vals, k, 2.0, grid)
+
+            got, fits = self.fitted_cells(monkeypatch, matrices)
+            want, all_fits = self.gathered(monkeypatch, lambda: self.fitted_cells(monkeypatch, matrices))
+            self.assert_agree(got, want, vals)
+            assert fits < all_fits, k
+        _, fits = self.fitted_cells(monkeypatch, lambda: fs.error_matrices(cloud, vals[:1], 2, 2.0, grid))
+        assert fits <= cap
+
+    def test_constants_and_affine_functions_settle_without_a_fit(self, monkeypatch):
+        # Their errors are 0, and each cube's bound puts its error below the
+        # kernel's clamp, taken with a lower bound on its max|f|.
+        def no_fit(*args):
+            raise AssertionError("the kernel was called")
+
+        monkeypatch.setattr(fs.maximal, "_local_errors", no_fit)
+        for name, depths in fs.RunConfig().generators:
+            for depth in depths:
+                cloud = build(name, depth)
+                grid = fs.ScaleGrid.dyadic(cloud)
+                battery = {tf.name: fs.sample(tf, cloud).values for tf in fs.battery(cloud)}
+                for k, names in ((2, ("const_one", "const_minus", "linear_axis", "linear_blend")),
+                                 (1, ("const_one", "const_minus"))):
+                    vals = np.stack([battery[f] for f in names])
+                    out = fs.error_matrices(cloud, vals, k, 2.0, grid)
+                    assert np.all(out == 0.0), (name, depth, k)
+
+
+class TestHlUnderflow:
+    def test_cubes_whose_powers_underflow_keep_their_values(self, interval6):
+        # Without levels 0-2 no cube about a point right of 1/2 reaches the
+        # values 1 left of it, and (1e-3)**sigma underflows in units of 1.
+        x = interval6.points[:, 0]
+        g = np.where(x < 0.5, 1.0, 1e-3)
+        full = fs.ScaleGrid.dyadic(interval6)
+        grid = fs.ScaleGrid(scales=full.scales[3:], levels=full.levels[3:], diam=full.diam)
+        for sigma in (200.0, 2000.0):
+            got = fs.hl_maximal(interval6, g, sigma, grid).values
+            far = x - grid.scales[0] > 0.5
+            assert far.sum() >= 20
+            np.testing.assert_allclose(got[far], 1e-3, rtol=1e-12)
+            assert np.all(got > 0.0)
+
+    def test_other_values_are_unchanged(self, monkeypatch):
+        # With TINY = 0 no sum counts as underflowed: the guard and the
+        # gather path are those without the mend, bit for bit.
+        for name, depths in fs.RunConfig().generators:
+            for depth in depths:
+                cloud = build(name, depth)
+                for tf in fs.battery(cloud):
+                    vals = fs.sample(tf, cloud)
+                    for sigma in (1.0, 3.0):
+                        got = fs.hl_maximal(cloud, vals, sigma).values
+                        with monkeypatch.context() as patched:
+                            patched.setattr(fs.maximal, "TINY", 0.0)
+                            want = fs.hl_maximal(cloud, vals, sigma).values
+                        assert np.array_equal(got, want), (name, depth, tf.name, sigma)

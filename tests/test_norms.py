@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -340,3 +341,34 @@ class TestScaleProfile:
         matrix = fs.approx_error_matrix(interval6, vals, 1, 2.0, grid)
         profile = fs.scale_profile(interval6, vals, 1, 2.0, math.inf, grid)
         assert np.allclose(profile, np.max(matrix, axis=0), rtol=1e-14)
+
+
+class TestNetWeights:
+    def test_an_overflowing_weight_is_out_of_range(self, interval6):
+        # mesh**-alpha = 2**1200 at level 6 passes the double range; level 5
+        # (2**1000) does not, and its cells of at most 3 points are fitted
+        # exactly by degree 200.
+        x = interval6.points[:, 0]
+        vals = x**3 + np.sin(7.0 * x)
+        with pytest.raises(fs.OutOfRange, match="level 6.*alpha=200"):
+            fs.besov_net_norm(interval6, vals, 200.0, 2.0, 2.0, levels=[6])
+        assert fs.besov_net_norm(interval6, vals, 200.0, 2.0, 2.0, levels=[5]).per_level == (0.0,)
+
+    def test_a_degree_that_interpolates_every_cell_lists_no_basis(self, interval6, monkeypatch):
+        # Degree k - 1 interpolates the at most k points of every occupied
+        # cell, so each term is exactly 0, however large k.
+        def no_basis(*args):
+            raise AssertionError("the basis was listed")
+
+        monkeypatch.setattr(fs.rankspace, "multi_indices", no_basis)
+        x = interval6.points[:, 0]
+        vals = x**3 + np.sin(7.0 * x)
+        start = time.perf_counter()
+        res = fs.besov_net_norm(interval6, x, 1e6, 2.0, 2.0, levels=[0])
+        assert res.per_level == (0.0,) and res.seminorm == 0.0
+        with pytest.raises(fs.OutOfRange, match="level 1"):
+            fs.besov_net_norm(interval6, x, 1e6, 2.0, 2.0, levels=[0, 1])
+        # Cells of up to 17 points at level 2, where noise times 4**20 once
+        # gave 74.8.
+        assert fs.besov_net_norm(interval6, vals, 20.0, 2.0, 2.0, levels=[2, 3]).per_level == (0.0, 0.0)
+        assert time.perf_counter() - start < 1.0
