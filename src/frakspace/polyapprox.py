@@ -5,14 +5,16 @@ the cube onto [-1, 1]^n and keeps Vandermonde matrices well scaled. Degrees
 are indexed by the space parameter k: fits range over polynomials of total
 degree <= k - 1, with k = 0 denoting the zero space.
 
-Every fit goes through one batched kernel, ``_local_errors``, which fits
-all (function, cell) pairs of a batch at once: ``maximal.error_matrices``
-calls it on many cubes, ``fit_in_span`` (and so ``best_approx``) on one.
-Constants (k = 1) are fitted exactly for every u: the weighted median
-(u = 1), the mean (u = 2), a cubic root (u = 4) or bracketed Newton (other
-u). Higher degrees take weighted least squares, final for u = 2, the start
-of an exact vertex exchange for u = 1 (Barrodale & Roberts), and otherwise
-the start of damped, smoothed reweighting (IRLS).
+One batched kernel, ``_local_errors``, fits all (function, cell) pairs of a
+batch at once: ``maximal.error_matrices`` calls it on many cubes,
+``fit_in_span`` (and so ``best_approx``) on one. Constants (k = 1) are
+fitted exactly for every u: the weighted median (u = 1), the mean (u = 2), a
+cubic root (u = 4) or bracketed Newton (other u). Higher degrees take
+weighted least squares, final for u = 2, the start of an exact vertex
+exchange for u = 1 (Barrodale & Roberts), and otherwise the start of
+reweighted least squares, stopped by a Lagrange dual bound. A converged fit
+is exact or certified; an unconverged one reports the error of its last
+iterate, an upper bound on the minimum.
 """
 from __future__ import annotations
 
@@ -54,11 +56,10 @@ CLAMP_REL = 1e-11
 EXCHANGE_MAX_PIVOTS = 100
 EXCHANGE_RTOL = 1e-10
 EXCHANGE_ZERO_REL = 1e-14
-# IRLS (1 < u < inf, u != 2): step cap, stopping tolerance on the objective,
-# and residual smoothing relative to max|f|.
+# Reweighted fits (k >= 2, u not in {1, 2}): a step cap, and the duality gap,
+# relative to the error, that certifies a minimum.
 DEFAULT_MAX_ITER = 50
 DEFAULT_RTOL = 1e-8
-DEFAULT_DELTA_REL = 1e-8
 # Newton's tolerance on best constants in L^u, relative to the spread of the
 # cell's values, and a cap on its steps that bisection keeps out of reach.
 NEWTON_TOL = 1e-9
@@ -221,19 +222,21 @@ def _local_errors(V, w, f, u, mass):
     V is the [L, W, d] design, or None for constants (k = 1); w[L, W] holds
     the weights, with 0 marking padding, and mass[L] their sums. Constants
     are fitted exactly for every u (``_constant_errors``). Higher degrees
-    take weighted least squares, final for u = 2 and otherwise the start of
-    ``_l1_vertices`` (u = 1) or ``_irls``. Returns (errors [F, L],
-    coefficients [F, L, d], iterations [F, L], converged [F, L]), each error
-    the objective at its coefficients.
+    take weighted least squares, final for u = 2; otherwise pairs it fits to
+    the clamp floor are settled, and the rest start ``_l1_vertices`` (u = 1)
+    or ``_irls``. Returns (errors [F, L], coefficients [F, L, d], iterations
+    [F, L], converged [F, L]), each error the objective at its coefficients
+    and converged meaning exact or certified by a dual bound.
     Residuals are formed as V @ c, as ``Polynomial.evaluate`` forms them, so
     that the minimizer's residual reproduces its error even where the error
     is at the level of rounding. A rank-deficient cell's error is NaN, or 0
     for a function zero there.
     """
     scale = np.abs(f).max(axis=2)
+    floor = CLAMP_REL * scale * mass ** (1.0 / u)  # errors up to it are exact fits: 0
     if V is None:
         value, coef, iters, converged = _constant_errors(w, f, u, mass, scale)
-        return _clamp(value, scale, mass, u), coef[..., None], iters, converged
+        return np.where(value <= floor, 0.0, value), coef[..., None], iters, converged
     # The Gram matrix from [L, d, W] rows: weighting and products along W run
     # on contiguous memory, where [L, W, d] makes them stride over short rows.
     VT = np.ascontiguousarray(np.swapaxes(V, 1, 2))
@@ -255,13 +258,19 @@ def _local_errors(V, w, f, u, mass):
     if u == 2.0:
         value = np.sqrt(np.einsum("flw,flw,lw->fl", resid, resid, w))
         iters, converged = _closed_form(value)
-    elif u == 1.0:
-        value, coef, iters, converged = _l1_vertices(V, w, f, coef, resid, scale, ~deficient)
     else:
-        value, coef, iters, converged = _irls(
-            V, w, f, u, coef, resid, scale, ~deficient
-        )
-    value = _clamp(value, scale, mass, u)
+        size, unit = np.abs(resid), 1.0
+        if u != 1.0:  # in units of the largest residual, where no power overflows
+            unit = size.max(axis=2)
+            size = (size / np.where(unit > 0.0, unit, 1.0)[..., None]) ** u
+        value = unit * np.einsum("lw,flw->fl", w, size) ** (1.0 / u)
+        # Pairs that least squares already fits to the clamp floor are settled.
+        act = np.flatnonzero(~deficient & (value > floor))
+        if u == 1.0:
+            value, coef, iters, converged = _l1_vertices(V, w, f, coef, resid, value, act)
+        else:
+            value, coef, iters, converged = _irls(V, w, f, u, coef, resid, value, act)
+    value = np.where(value <= floor, 0.0, value)
     if np.count_nonzero(deficient):
         value[:, deficient] = np.where(scale[:, deficient] > 0.0, np.nan, 0.0)
     return value, coef, iters, converged
@@ -296,17 +305,18 @@ def _constant_errors(w, f, u, mass, scale):
     if u == 2.0:
         value = np.sqrt(np.einsum("flw,flw,lw->fl", d, d, w))
         return value, mean, *_closed_form(mean)
-    # In units of max|f|, so that no power of a value under- or overflows.
-    unit = np.where(scale > 0.0, scale, 1.0)
-    d /= unit[..., None]
     if u == 4.0:
+        # In units of max|f|, where (d / max|f|)**4 underflows only for
+        # errors far below the clamp floor.
+        unit = np.where(scale > 0.0, scale, 1.0)
+        d /= unit[..., None]
         c = _quartic_root(d, w, mass)
         d -= c[..., None]
         d *= d
         value = unit * np.einsum("flw,flw,lw->fl", d, d, w) ** 0.25
         return value, mean + unit * c, *_closed_form(c)
     value, c, iters, converged = _newton_errors(d, w, u)
-    return unit * value, mean + unit * c, iters, converged
+    return value, mean + c, iters, converged
 
 
 def _quartic_root(d, w, mass):
@@ -345,7 +355,8 @@ def _newton_errors(d, w, u):
     running after NEWTON_MAX_ITER steps is not converged and reports its
     current c. Pairs leave the arrays as they stop; one whose values are
     all equal stops before the first step, with c that value and error 0.
-    Returns (errors, constants, steps, converged), each of shape [F, L].
+    Powers act on d / max|d|, so none under- or overflows. Returns (errors,
+    constants, steps, converged), each of shape [F, L].
     """
     nfun, ncell, width = d.shape
     da, wa = d.reshape(-1, width), np.tile(w, (nfun, 1))
@@ -355,6 +366,8 @@ def _newton_errors(d, w, u):
     real = wa > 0.0  # the zero-weight sentinel pads a cell, it is not in it
     lo = np.where(real, da, np.inf).min(axis=1)
     hi = np.where(real, da, -np.inf).max(axis=1)
+    unit = np.where(hi > lo, np.maximum(hi, -lo), 1.0)
+    da, lo, hi = da / unit[:, None], lo / unit, hi / unit
     half = 0.5 * (hi - lo)
     tol = NEWTON_TOL * (hi - lo)
     ones = np.ones(width)
@@ -400,11 +413,11 @@ def _newton_errors(d, w, u):
         cout[act] = c
     return tuple(
         x.reshape(nfun, ncell)
-        for x in (out ** (1.0 / u), cout, steps, steps < NEWTON_MAX_ITER)
+        for x in (unit * out ** (1.0 / u), unit * cout, steps, steps < NEWTON_MAX_ITER)
     )
 
 
-def _l1_vertices(V, w, f, coef, resid, scale, usable):
+def _l1_vertices(V, w, f, coef, resid, value, act):
     """Exact weighted L1 fits of every (function, cell) pair by vertex exchange.
 
     The simplex of Barrodale & Roberts (1973). A vertex c interpolates the d
@@ -419,14 +432,13 @@ def _l1_vertices(V, w, f, coef, resid, scale, usable):
     rounded zero residual takes its side and order from the residual rho of
     xi, and c moves only on steps of nonzero length, so no basis recurs. A
     pair cut off by EXCHANGE_MAX_PIVOTS reports its last vertex, unconverged.
-    Returns (errors, coefficients, pivots, converged).
+    Fits the pairs ``act`` (function p // L on cell p % L); the rest keep
+    ``value``. Returns (errors, coefficients, pivots, converged).
     """
     nfun, ncell, width = f.shape
     pairs, d = nfun * ncell, V.shape[2]
-    value = np.einsum("lw,flw->fl", w, np.abs(resid)).ravel()
-    coef, iters, converged = coef.reshape(pairs, d), np.zeros(pairs, int), np.ones(pairs, bool)
-    # Pairs that least squares fits to the clamp floor are settled.
-    act = np.flatnonzero(np.tile(usable, nfun) & (value > (CLAMP_REL * scale * w.sum(1)).ravel()))
+    value, coef = value.ravel(), coef.reshape(pairs, d)
+    iters, converged = np.zeros(pairs, int), np.ones(pairs, bool)
     wa = w[act % ncell]
     Va = V[act % ncell]
     fa, cost = f.reshape(pairs, width)[act], np.abs(resid.reshape(pairs, width)[act])
@@ -495,91 +507,75 @@ def _l1_vertices(V, w, f, coef, resid, scale, usable):
     return tuple(x.reshape(f.shape[:2] + x.shape[1:]) for x in (value, coef, iters, converged))
 
 
-def _irls(V, w, f, u, coef, resid, scale, usable):
-    """Damped, smoothed reweighted least squares on every (function, cell) pair.
+def _irls(V, w, f, u, coef, resid, value, act):
+    """Reweighted least squares on the pairs ``act``, stopped by a duality gap.
 
-    Serves k >= 2 with u not in {1, 2}; the other fits are exact. Weights are
-    w (r**2 + delta**2)**(u/2 - 1) with delta = DEFAULT_DELTA_REL * max|f|;
-    each pair stops on its own rule, a change of objective of at most
-    DEFAULT_RTOL relative, or after DEFAULT_MAX_ITER steps unconverged.
-    Returns (errors, coefficients, iterations, converged) of each pair's
-    best iterate. Converged pairs leave the working arrays.
+    Serves k >= 2 with u not in {1, 2}. At an iterate c with residual r, let
+    Omega = w rho**(u - 2), rho = |r| / max|r| floored at CLAMP_REL, and
+    s = (V^T Omega V)^-1 V^T Omega f. The step is c + (s - c) / (u - 1) for
+    u > 2, Newton's on sum w |r|**u, and s for u < 2, the majorize-minimize
+    reweighting. lam = Omega (f - V s) has V^T lam = 0, so by Hoelder
+    lam.r / ||lam w**(-1/u)||_u' bounds the minimum from below. A pair stops
+    at the first iterate whose error E exceeds the last step's bound by at
+    most DEFAULT_RTOL E, or unconverged where it is after DEFAULT_MAX_ITER
+    steps, a singular Gram matrix or a bound that is not a number; the rest
+    keep ``value``. Errors are summed over f - V c as ``_weighted_norm`` does,
+    or in units of max|r| where that sum leaves the normal range. Returns
+    (errors, coefficients, steps, converged).
     """
     nfun, ncell, width = f.shape
-    pairs = nfun * ncell
-    best, iters = np.zeros(pairs), np.zeros(pairs, dtype=int)
-    coef, converged = coef.reshape(pairs, -1).copy(), np.ones(pairs, dtype=bool)
-    # Pair p fits function p // ncell on cell p % ncell. Pairs left out (zero
-    # data, rank-deficient cell) are settled by the caller.
-    act = np.flatnonzero((usable & (scale > 0.0)).ravel())
+    pairs, d = nfun * ncell, V.shape[2]
+    value, coef = value.ravel(), coef.reshape(pairs, d)
+    iters, converged = np.zeros(pairs, int), np.ones(pairs, bool)
     cells = act % ncell
     fa, wa, Va, ca = f.reshape(pairs, width)[act], w[cells], V[cells], coef[act]
-    floor = DEFAULT_DELTA_REL * scale.ravel()[act]
-    # |r|**u as (r*r)**(u/2): the squares also feed the weights, and the
-    # power is a plain square for u = 4.
-    rr = np.square(resid.reshape(pairs, width)[act])
+    r = resid.reshape(pairs, width)[act]
+    a = np.abs(r) / np.abs(r).max(axis=1, keepdims=True)
     VaT = np.ascontiguousarray(np.swapaxes(Va, 1, 2))
-    floor2 = (floor * floor)[:, None]
-    obj = low = (wa * rr ** (0.5 * u)).sum(axis=-1) ** (1.0 / u)
-    low_c = ca.copy()
-    exponent = 0.5 * u - 1.0
-    # Plain reweighting oscillates for u > 2; relaxing the step by
-    # 1/(u - 1) restores monotone convergence to the minimizer.
-    damping = 1.0 / (u - 1.0) if u > 2.0 else 1.0
-    for it in range(1, DEFAULT_MAX_ITER + 1):
-        if act.size == 0:
-            break
-        omega = wa * (rr + floor2) ** exponent
-        Vo = VaT * omega[:, None]
-        G = Vo @ np.swapaxes(VaT, 1, 2)
-        step = _solve_each(G, Vo @ fa[..., None], Va, omega, fa)
-        ca = step if damping == 1.0 else ca + damping * (step - ca)
-        rr = np.square(fa - (Va @ ca[..., None])[..., 0])
-        new = (wa * rr ** (0.5 * u)).sum(axis=-1) ** (1.0 / u)
-        np.copyto(low_c, ca, where=(new < low)[:, None])
-        low = np.fmin(low, new)
-        done = np.abs(new - obj) <= DEFAULT_RTOL * np.maximum(obj, floor)
-        obj = new
-        # count_nonzero is the cheapest test of a small mask.
-        stopped = np.count_nonzero(done)
-        if stopped:
-            best[act[done]], coef[act[done]] = low[done], low_c[done]
-            iters[act[done]] = it
-            if stopped == act.size:
+    conj = u / (u - 1.0)
+    # The certificate's powers act on |r| / max|r| and |lam| / max|lam|, so
+    # none overflows. Where they underflow, at extreme u, a step is singular
+    # or its bound not a number, and its pair stops unconverged.
+    with np.errstate(all="ignore"):
+        for it in range(1, DEFAULT_MAX_ITER + 1):
+            if not act.size:
                 break
-            keep = ~done
-            act, fa, wa, Va, VaT, rr, ca, floor, floor2, obj, low, low_c = (
-                x[keep]
-                for x in (act, fa, wa, Va, VaT, rr, ca, floor, floor2, obj, low, low_c)
-            )
-    else:
-        best[act], coef[act], converged[act] = low, low_c, False
-        iters[act] = DEFAULT_MAX_ITER
-    return tuple(
-        x.reshape((nfun, ncell) + x.shape[1:]) for x in (best, coef, iters, converged)
-    )
-
-
-def _solve_each(G, rhs, V, omega, f):
-    """Batched G x = rhs; a singular system falls back to weighted lstsq."""
-    try:
-        if len(G) == 1:  # numpy solves one vector right-hand side fastest
-            return np.linalg.solve(G[0], rhs[0, :, 0])[None]
-        return np.linalg.solve(G, rhs)[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.empty(rhs.shape[:2])
-        for p in range(len(G)):
+            rho = np.maximum(a, CLAMP_REL) ** (u - 2.0)  # Omega / w
+            Vo = VaT * (wa * rho)[:, None]
+            G, rhs = Vo @ np.swapaxes(VaT, 1, 2), Vo @ fa[..., None]
             try:
-                out[p] = np.linalg.solve(G[p], rhs[p])[:, 0]
+                s = np.linalg.solve(G, rhs)[..., 0]
             except np.linalg.LinAlgError:
-                so = np.sqrt(omega[p])
-                out[p] = np.linalg.lstsq(V[p] * so[:, None], so * f[p], rcond=None)[0]
-        return out
-
-
-def _clamp(value, scale, mass, u):
-    """Errors below CLAMP_REL times the local data scale are exact fits: 0."""
-    return np.where(value <= CLAMP_REL * scale * mass ** (1.0 / u), 0.0, value)
+                singular = np.linalg.slogdet(G)[0] == 0.0
+                G[singular] = np.eye(d)
+                s = np.linalg.solve(G, rhs)[..., 0]
+                s[singular] = np.nan
+            g = rho * (fa - (Va @ s[..., None])[..., 0])  # lam / w
+            top = np.abs(g).max(axis=1)
+            low = np.einsum("pw,pw,pw->p", wa, g, r) / top
+            low /= np.einsum("pw,pw->p", wa, np.abs(g / top[:, None]) ** conj) ** (1.0 / conj)
+            step = s if u < 2.0 else ca + (s - ca) / (u - 1.0)
+            ca = np.where(np.isnan(low)[:, None], ca, step)  # no bound: stay, and stop
+            r = fa - (Va @ ca[..., None])[..., 0]
+            a = np.abs(r)
+            unit = a.max(axis=1)
+            a /= unit[:, None]
+            err = unit * np.einsum("pw,pw->p", wa, a**u) ** (1.0 / u)
+            certified = low >= (1.0 - DEFAULT_RTOL) * err
+            stop = certified | np.isnan(low) | (it == DEFAULT_MAX_ITER)
+            # count_nonzero is the cheapest test of a small mask.
+            stopped = np.count_nonzero(stop)
+            if stopped:
+                done = act[stop]
+                total = (wa[stop] * np.abs(r[stop]) ** u).sum(axis=1)
+                normal = (total >= np.finfo(float).tiny) & (total < np.inf)
+                value[done] = np.where(normal, total ** (1.0 / u), err[stop])
+                coef[done], iters[done], converged[done] = ca[stop], it, certified[stop]
+                if stopped == act.size:
+                    break
+                keep = ~stop
+                act, fa, wa, Va, VaT, ca, r, a = (x[keep] for x in (act, fa, wa, Va, VaT, ca, r, a))
+    return tuple(x.reshape(f.shape[:2] + x.shape[1:]) for x in (value, coef, iters, converged))
 
 
 @dataclass(frozen=True)
@@ -704,10 +700,12 @@ class ApproxResult:
 
     ``value`` is the plain integral error E_k; ``normalized`` divides by
     mass(Q)^(1/u), i.e. the average form used by the maximal operators.
-    ``value`` is the error of ``minimizer``. ``iterations`` counts IRLS or
-    Newton steps, or the pivots of the exact u = 1 exchange, and is 0 for
-    closed forms (the median, the mean, the cubic root, u = 2 least
-    squares); ``converged`` is False only for a fit cut off by its cap.
+    ``value`` is the error of ``minimizer``. ``iterations`` counts
+    reweighting or Newton steps, or the pivots of the exact u = 1 exchange,
+    and is 0 for closed forms (the median, the mean, the cubic root, u = 2
+    least squares) and for fits least squares makes exact. ``converged``
+    means exact, or certified within DEFAULT_RTOL of the minimum; an
+    unconverged ``value`` only bounds the minimum from above.
     """
 
     value: float

@@ -63,6 +63,52 @@ def best_constant_lu(values, weights, u):
     return err if err.ndim else float(err)
 
 
+def best_fit_lu(V, w, f, u):
+    """min over c of (sum w|f - Vc|**u)**(1/u), each power in units of max|f - Vc|.
+
+    From the least-squares fit, up to 60 Newton directions on
+    sum w|f - Vc|**u, each followed by an exact line search: the objective is convex along the
+    line, so 60 bisections on the sign of its slope in [0, T], T the first
+    power of two where the slope turns positive, find its minimum there.
+    Stops when a step no longer lowers the error. Taking every power in
+    units keeps large u, where |r|**u leaves the double range, in reach.
+    """
+    sw = np.sqrt(w)
+    c = np.linalg.lstsq(V * sw[:, None], sw * f, rcond=None)[0]
+
+    def units(c):
+        r = f - V @ c
+        m = float(np.max(np.abs(r)))
+        return r / m, m
+
+    def error(c):
+        z, m = units(c)
+        return m * float(np.sum(w * np.abs(z) ** u)) ** (1.0 / u)
+
+    def descent(c, p):  # the objective falls along p at c
+        z, _ = units(c)
+        return float(np.sum(w * np.abs(z) ** (u - 1.0) * np.sign(z) * (V @ p))) > 0.0
+
+    best = error(c)
+    for _ in range(60):
+        z, m = units(c)
+        H = (V.T * (w * np.abs(z) ** (u - 2.0))) @ V
+        g = V.T @ (w * np.abs(z) ** (u - 1.0) * np.sign(z))
+        p = m * np.linalg.lstsq(H, g, rcond=None)[0] / (u - 1.0)
+        hi = 1.0
+        while descent(c + hi * p, p) and hi < 2.0**40:
+            hi *= 2.0
+        lo = 0.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if descent(c + mid * p, p) else (lo, mid)
+        step = error(c + lo * p)
+        if not step < best:
+            break
+        c, best = c + lo * p, step
+    return best
+
+
 def chebyshev_distances(points, center):
     diff = np.abs(np.atleast_2d(points) - center)
     return diff.max(axis=1)

@@ -7,7 +7,9 @@ through ``fit_in_span`` (or the constant-fit shortcut for k = 1).
 ``fit_in_span`` below is a verbatim copy of the package's per-cell fit from
 before it became the one-cell call of the batched kernel (lstsq start, then
 smoothed reweighting). The package's own ``fit_in_span`` now runs the code
-this module checks, so the reference keeps its own copy to stay independent.
+this module checks, so the reference keeps its own copy to stay independent,
+with the step cap, stopping tolerance and residual smoothing it was written
+with as its own constants.
 """
 import math
 
@@ -16,15 +18,18 @@ import numpy as np
 from frakspace.errors import EmptyGrid, OutOfRange, RankDeficient, TooFewPoints
 from frakspace.polyapprox import (
     CLAMP_REL,
-    DEFAULT_DELTA_REL,
-    DEFAULT_MAX_ITER,
-    DEFAULT_RTOL,
     MIN_POINTS_FACTOR,
     RANK_RTOL_SV,
     _weighted_norm,
     basis_size,
     multi_indices,
 )
+
+# Smoothed reweighting: step cap, stopping tolerance on the objective, and
+# residual smoothing relative to max|f|.
+DEFAULT_MAX_ITER = 50
+DEFAULT_RTOL = 1e-8
+DEFAULT_DELTA_REL = 1e-8
 
 
 def approx_error_matrix(cloud, f, k, u, grid, min_points_factor=MIN_POINTS_FACTOR):

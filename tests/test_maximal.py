@@ -394,6 +394,36 @@ class TestKernelPinnedToCellLoop:
                 gap = np.abs(got[ok] - want[ok]) - rtol * np.abs(want[ok])
                 assert np.all(gap <= floor), (k, u, float(gap.max()))
 
+    @pytest.mark.parametrize("name", CLOUDS)
+    def test_certified_fits_lie_in_the_duality_bracket(self, request, name):
+        # Reweighted fits (k >= 2, u = 3) stop on a duality gap of 1e-8: each
+        # converged one lies in the benchmark oracle's bracket [dual bound,
+        # least squares] and, the bound being tight here, within 1e-8 above it.
+        cloud = request.getfixturevalue(name)
+        vals = rough_sample(cloud)
+        cubes = {}
+        for x in cloud.points:
+            for t in fs.ScaleGrid.dyadic(cloud).scales:
+                cube = fs.Cube(x, float(t))
+                cubes.setdefault(fs.restrict(cloud, cube)[0].tobytes(), cube)
+        checked = 0
+        for k in (2, 3):
+            for cube in cubes.values():
+                try:
+                    res = fs.best_approx(cloud, cube, vals, k, 3.0)
+                except (fs.TooFewPoints, fs.RankDeficient):
+                    continue
+                assert res.converged
+                cell = oracles.bench.cell(
+                    cloud.points, cloud.weights, vals, cube.center, cube.half_side, k, 3.0
+                )
+                if cell.status != "bracket":
+                    continue
+                assert cell.admits(res.normalized), (k, cube, res.normalized, cell.lo)
+                assert res.normalized - cell.lo <= 1e-8 * res.normalized + cell.floor
+                checked += 1
+        assert checked > 0
+
     def test_rank_deficient_cubes_match_reference(self, make_cloud):
         # Points on a line bent by 1e-9..1e-3: small cubes about the flat end
         # hold enough points for a planar fit but are rank deficient.

@@ -197,6 +197,31 @@ class TestFitInSpanOracles:
         assert steps[0, 0] == 0 and converged[0, 0]
         assert error[0, 0] == 0.0 and c[0, 0] == 1e-17
 
+    def test_least_squares_exact_fits_settle_without_a_step(self):
+        # A constant fitted by lines in L^3: least squares is exact, and the
+        # fit stops there. Reweighting used to jitter on rounding for 50 steps.
+        cloud = fs.build_cloud(fs.generator_spec("interval"), 8)
+        cube = fs.Cube(np.array([0.474609375]), 0.16952473780135227)
+        res = fs.best_approx(cloud, cube, battery_values(cloud, "const_minus"), 2, 3.0)
+        assert res.converged and res.iterations == 0 and res.value == 0.0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_extreme_exponent_is_certified_or_unconverged(self, interval6, k):
+        # At u = 200, |r|**u of a residual below 0.03 leaves the double range,
+        # which summed in absolute units gives an error of 0.
+        cube = fs.Cube(interval6.points[10], 0.1)
+        idx = fs.restrict(interval6, cube)[0]
+        V, _ = fs.monomial_matrix(interval6.points[idx], cube, k)
+        x = interval6.points[:, 0]
+        for vals in (np.sin(7.0 * x), 1.0 + 1e-3 * np.sin(7.0 * x)):
+            res = fs.best_approx(interval6, cube, vals, k, 200.0)
+            want = oracles.best_fit_lu(V, interval6.weights[idx], vals[idx], 200.0)
+            assert res.value > 0.0
+            if res.converged:
+                assert res.value == pytest.approx(want, rel=1e-8)
+            else:  # the error of its last iterate
+                assert res.value >= want * (1.0 - 1e-12)
+
     def test_too_few_points(self, make_cloud):
         cloud = make_cloud([[0.1, 0.1], [0.9, 0.8], [0.4, 0.6]])
         with pytest.raises(fs.TooFewPoints):

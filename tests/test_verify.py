@@ -278,6 +278,23 @@ class TestRunAll:
         assert len(calls) == 16
         assert len(set(calls)) == 16
 
+    def test_default_run_certifies_every_fit(self, monkeypatch):
+        # Every fit of the default run, matrix cells included, is exact or
+        # certified by its own stopping rule.
+        counts = {"fits": 0, "unconverged": 0}
+        kernel = fs.polyapprox._local_errors
+
+        def counting(*args):
+            out = kernel(*args)
+            counts["fits"] += out[3].size
+            counts["unconverged"] += int(np.count_nonzero(~out[3]))
+            return out
+
+        for module in (fs.polyapprox, fs.maximal, fs.norms):
+            monkeypatch.setattr(module, "_local_errors", counting)
+        fs.run_all(fs.RunConfig())
+        assert counts["fits"] > 0 and counts["unconverged"] == 0
+
     def test_single_depth_leaves_stability_not_evaluated(self):
         cfg = fs.RunConfig.from_dict(
             dict(SMALL_CONFIG, generators=[["interval", [5]], ["cantor4", [2]]])
