@@ -10,12 +10,12 @@ alpha.
 coordinate grid allows, reads sums over cubes from summed-area tables. Two
 guards here judge those sums, each by its own rounding bound, and keep a
 table value only within BOX_RTOL / 2 of exact: ``_table_errors`` the moments
-that fix a u = 2 error of degree <= 1 (k <= 2), from tables built per scale
-over tiles of side 4t in which f is taken less a fit on the tile, and
-``hl_maximal`` the mass and the mass of |g|**sigma, from tables over the
-whole cloud. Every other cube is gathered, then fitted or summed; a local
-error depends only on the points of its cube, since the polynomial space is
-invariant under translation and scaling.
+that fix a u = 2 error of degree <= 1 (k <= 2), from tables over tiles of
+side 4t in which f is taken less a fit on the tile, one build per group of
+scales, and ``hl_maximal`` the mass and the mass of |g|**sigma, from tables
+over the whole cloud. Every other cube is gathered, then fitted or summed;
+a local error depends only on the points of its cube, since the polynomial
+space is invariant under translation and scaling.
 
 The fits themselves are ``polyapprox._local_errors``, the kernel that
 ``fit_in_span`` and ``best_approx`` call on one cube, so a gathered matrix
@@ -179,21 +179,22 @@ def _table_errors(cloud: WeightedPointCloud, rank, values: np.ndarray, k: int, s
     """A ``settle`` for ``_cubes``: the u = 2 errors of degree <= k - 1 fits
     (k <= 2) that cube moments fix, read from tile-local summed-area tables.
 
-    ``settle(j, reps, runs)`` writes into ``out`` [F, N, S] each normalized
-    error it keeps, or 0 where it settles one at the clamp, marks those and
-    the cubes of fewer than ``quota`` points (NaN) in ``settled``, and
-    returns the mask of cubes settled for every function. Per scale t it
-    builds the tilings of side 4t that hold some cube (``_tilings``). In a
-    tile x is taken about its centre and f less p, the tile's weighted
-    least-squares polynomial of degree <= k - 1 (``_detrended``), which
-    changes no cube's error. The centred co-moments C of z = (1, x, r) give
-    E**2 = C_rr - 2 C_xr.c + c.C_xx c at c = C_xx**-1 C_xr.
+    Returns (settle, rows). ``settle(js, reps, runs)`` writes into ``out``
+    [F, N, S] each normalized error it keeps, or 0 where it settles one at
+    the clamp, marks those and the cubes of fewer than ``quota`` points (NaN)
+    in ``settled``, and returns the mask of cubes settled for every function.
+    It builds ``rows`` tables once for its group of scales, over the tilings
+    of side 4t that hold some cube at each scale t (``_tilings``). In a tile
+    x is taken about its centre and f less p, the tile's weighted least
+    squares polynomial of degree <= k - 1 (``_detrended``), which changes no
+    cube's error. The centred co-moments C of z = (1, x, r) give E**2 =
+    C_rr - 2 C_xr.c + c.C_xx c at c = C_xx**-1 C_xr.
 
     Rounding: a box sum of a table of q is within gamma = (depth + 2**n + 3)
-    u (u = eps / 2, depth of ``_table_layout``) times the corner sums of |q|,
-    which for q = w z_i z_j are at most a_i a_j, a_i**2 those of w z_i**2.
-    With P = [-zbar | I] from the cube means, E**2 at v = (-c, 1) is then
-    within 2 gamma ((|P| a).|v|)**2, c kept within sqrt(BOX_RTOL) of the
+    u (u = eps / 2, its scale's depth in ``_table_layout``) times the corner
+    sums of |q|, which for q = w z_i z_j are at most a_i a_j, a_i**2 those of
+    w z_i**2. With P = [-zbar | I] from the cube means, E**2 at v = (-c, 1) is
+    then within 2 gamma ((|P| a).|v|)**2, c kept within sqrt(BOX_RTOL) of the
     exact minimizer by the conditioning test; the rounding of r and of x
     moves E by at most eta. A cell keeps its error when these and the mass's
     bound put it within BOX_RTOL / 2 of exact, its count meets ``quota``,
@@ -210,33 +211,32 @@ def _table_errors(cloud: WeightedPointCloud, rank, values: np.ndarray, k: int, s
     unit = 0.5 * np.finfo(float).eps
     peak = np.abs(values).max(axis=1)[:, None]
 
-    def settle(j, reps, runs):
-        t = scales[j]
-        tiles, which = _tilings(rank, runs, 4.0 * t)
-        stack = np.flatnonzero(np.bincount(which + 1, minlength=2**n + 1)[1:])
-        layout = _table_layout(rank, tiles, stack)
-        if layout is None:
+    def settle(js, reps, runs):
+        sides = 4.0 * scales[js[0] : js[-1] + 1]
+        tiles, which = _tilings(rank, runs, sides, js - js[0])
+        part = np.flatnonzero(which >= 0)
+        layout = _table_layout(rank, tiles, which[part])
+        if layout is None or not part.size:
             return np.zeros(reps.size, dtype=bool)
-        pick, part = layout.pick, np.flatnonzero(which >= 0)
-        which = np.searchsorted(stack, which[part])
-        # Each point's tile across the stack [V, N], and z = (1, x) [m + 1, V, N].
-        counts = [int(number.max()) + 1 for number in tiles]
-        per = math.prod(counts)
-        tile = np.arange(len(pick))[:, None] * per + np.ravel_multi_index(
-            [number[pick[:, a]][:, r - 1] for a, (number, r) in enumerate(zip(tiles, rank.ranks))], counts
-        )
+        pick, which = layout.pick, layout.slot[which[part]]
+        # Each point's tile per entry [E, N], by its first grid cell, numbered densely; z = (1, x).
+        back = [b[v][:, r - 1] for v, b, r in zip(pick.T, layout.reach, rank.ranks)]
+        tile = layout.cells - np.ravel_multi_index(back, layout.shape[1:])
+        used = np.bincount(tile.ravel()) > 0
+        tile, owner = (np.cumsum(used) - 1)[tile], np.flatnonzero(used) // math.prod(layout.shape[1:])
         homes = tile[which, reps[part]]  # a cube's tile holds its centre
         z = np.ones((m + 1,) + tile.shape)
-        for a, (p, x, r) in enumerate(zip(pts.T[:m], rank.axes, rank.ranks)):
-            centre = x[0] + (tiles[a] + np.array([[0.5], [0.0]])) * 4.0 * t
-            z[1 + a] = p - centre[pick[:, a]][:, r - 1]
-        r, coef = _detrended(z, w, values, tile, len(pick) * per, 2.0 * t)
+        for a, (p, x, number, r) in enumerate(zip(pts.T[:m], rank.axes, tiles, rank.ranks)):
+            centre = x[0] + (number + np.array([[0.5], [0.0]])) * sides[:, None, None]
+            z[1 + a] = p - centre.reshape(-1, x.size)[pick[:, a]][:, r - 1]
+        r, coef = _detrended(z, w, values, tile, owner.size, 0.5 * sides[pick[owner, 0] // 2])
+        del tiles, back, tile  # not held while the tables are
         # The count, w z_a z_b, and per function w z_a r and w r r.
         tables = _summed_area(layout, _moments(z, w, r, pairs, count=True))
         del z, r
-        gamma = (layout.depth + 2**n + 3) * unit
         for chunk, sums, spread in _box_sums(layout, tables, runs[part], which):
-            rows, fit, count = reps[part[chunk]], coef[:, homes[chunk]], sums[0]
+            rows, j, fit, count = reps[part[chunk]], js[part[chunk]], coef[:, homes[chunk]], sums[0]
+            t, gamma = scales[j], (layout.depth[which[chunk]] + 2**n + 3) * unit
             S = np.empty((nfun, count.size, m + 2, m + 2))
             for row, (a, c) in zip(sums[1:shared], pairs):
                 S[..., a, c] = S[..., c, a] = row
@@ -284,9 +284,9 @@ def _table_errors(cloud: WeightedPointCloud, rank, values: np.ndarray, k: int, s
                 zero &= top <= CLAMP_REL * low * (1.0 - BOX_RTOL)
             out[:, rows, j] = np.where(keep, norm, np.where(zero, 0.0, np.nan))
             settled[:, rows, j] = keep | zero | (count < quota)
-        return settled[:, reps, j].all(axis=0)
+        return settled[:, reps, js].all(axis=0)
 
-    return settle
+    return settle, shared + nfun * (m + 2)
 
 
 def _moments(z, w, r, pairs, count=False):
@@ -303,19 +303,18 @@ def _moments(z, w, r, pairs, count=False):
 
 
 def _detrended(z, w, values, tile, ntile, width):
-    """r = f - p [F, V, N] and p's coefficients (c0, b) [F, tiles, m + 1]:
+    """r = f - p [F, E, N] and p's coefficients (c0, b) [F, tiles, m + 1]:
     each tile's weighted mean (k = 1) or least-squares line in the chart
-    x / width (k = 2), exactly c0 + b.x as stored. lead + tail = c0 + b.x to
-    the rounding of the products (TwoSum), so r is rounded by at most m + 1
-    ulps of |b.x| <= 2.5 t |b| plus two of |r|, which eta bounds per cube.
+    x / width[tile] (k = 2), exactly c0 + b.x as stored. lead + tail = c0 + b.x
+    to the rounding of the products (TwoSum), so r is rounded by at most
+    m + 1 ulps of |b.x| <= 2.5 t |b| plus two of |r|, which eta bounds.
     """
     m, nfun = len(z) - 1, len(values)
     if not m:
         sums = _binned(tile, ntile, w * np.concatenate([z, values[:, None] * z]))
         coef = (sums[1:] / np.maximum(sums[0], 1e-300))[..., None]
         return values[:, None] - coef[:, tile, 0], coef
-    chart = z.copy()
-    chart[1:] /= width
+    chart = np.concatenate([z[:1], z[1:] / width[tile]])
     pairs = [(a, b) for a in range(m + 1) for b in range(a, m + 1)]
     sums = _binned(tile, ntile, _moments(chart, w, values[:, None] * z[0], pairs))
     gram = np.empty((ntile, m + 1, m + 1))
@@ -324,7 +323,7 @@ def _detrended(z, w, values, tile, ntile, width):
     used, coef = gram[:, 0, 0] > 0.0, np.zeros((nfun, ntile, m + 1))
     rhs = sums[len(pairs) :].reshape(nfun, m + 2, ntile)[:, : m + 1, used].transpose(0, 2, 1)
     coef[:, used] = (np.linalg.pinv(gram[used], 1e-10, hermitian=True) @ rhs[..., None])[..., 0]
-    coef[..., 1:] /= width
+    coef[..., 1:] /= width[:, None]
     c0, bx = coef[:, tile, 0], coef[:, tile, 1:] * z[1:].transpose(1, 2, 0)
     q = bx.sum(axis=-1)
     lead = c0 + q
@@ -380,10 +379,9 @@ def error_matrices(
     rank = _rank_grid(cloud)
     out = np.full((values.shape[0], cloud.size, len(grid)), np.nan)
     settled = np.zeros(out.shape, dtype=bool)
-    settle = None
-    if u == 2.0 and k <= 2:
-        settle = _table_errors(cloud, rank, values, k, grid.scales, needed, out, settled)
-    for j, first, batches in _cubes(rank, grid.scales, needed, budget, settle):
+    settle, rows = (_table_errors(cloud, rank, values, k, grid.scales, needed, out, settled)
+                    if u == 2.0 and k <= 2 else (None, 0))
+    for j, first, batches in _cubes(rank, grid.scales, needed, budget, settle, rows):
         for centres, idx in batches:
             V, w, f, mass = batch(idx, cloud.points[centres], grid.scales[j])
             # Only the functions that some cube of the batch still needs are
@@ -481,18 +479,17 @@ def hl_maximal(
     unit = float(values.max()) or 1.0
     wts = np.append(cloud.weights, 0.0)
     powered = wts * np.append(values / unit, 0.0) ** sigma
-    average = np.empty(cloud.size)
+    average = np.empty((len(grid), cloud.size))
     rank = _rank_grid(cloud)
-    settle = None
-    layout = _table_layout(rank)
+    settle, layout = None, _table_layout(rank)
     if layout is not None:
         tables = _summed_area(layout, [wts[:-1], powered[:-1]])
-        rounding = (layout.depth + 2**cloud.ambient_dim + 1) * 0.5 * np.finfo(float).eps
+        rounding = (layout.depth[0] + 2**cloud.ambient_dim + 1) * 0.5 * np.finfo(float).eps
 
-        def settle(j, reps, runs):
+        def settle(js, reps, runs):
             keep = np.empty(reps.size, dtype=bool)
-            for part, (mass, total), spread in _box_sums(layout, tables, runs):
-                average[reps[part]] = total / mass
+            for part, (mass, total), spread in _box_sums(layout, tables, runs, 0 * reps):
+                average[js[part], reps[part]] = total / mass
                 # Relative errors of mass and total add in the average, and
                 # the power 1 / sigma scales them.
                 bound = rounding * (spread[0] * total + spread[1] * mass)
@@ -500,19 +497,19 @@ def hl_maximal(
             return keep
 
     best, floor, padded = np.zeros(cloud.size), np.zeros(cloud.size), np.append(values, 0.0)
-    for _, first, batches in _cubes(rank, grid.scales, 1, CHUNK_ELEMS, settle):
+    for j, first, batches in _cubes(rank, grid.scales, 1, CHUNK_ELEMS, settle, 2):
         low = np.zeros(cloud.size)
         for centres, idx in batches:
             total = powered[idx].sum(axis=1)
-            average[centres] = total / wts[idx].sum(axis=1)
+            average[j, centres] = total / wts[idx].sum(axis=1)
             under = np.flatnonzero(total < TINY)
             if under.size:
                 own, w = padded[idx[under]], wts[idx[under]]
                 peak = own.max(axis=1)
                 ratio = own / np.where(peak > 0.0, peak, 1.0)[:, None]
                 low[centres[under]] = peak * ((w * ratio**sigma).sum(axis=1) / w.sum(axis=1)) ** (1.0 / sigma)
-                average[centres[under]] = 0.0
-        np.maximum(best, average[first], out=best)
+                average[j, centres[under]] = 0.0
+        np.maximum(best, average[j, first], out=best)
         np.maximum(floor, low[first], out=floor)
     name = getattr(g, "name", "")
     return GridFunction(

@@ -7,9 +7,9 @@ Centres whose runs agree on every axis hold the same points: per scale
 the grid has at most GRID_CELLS_PER_POINT cells per point, box sums are read
 instead from summed-area tables (Crow 1984), 2**n corner lookups each
 (``_box_sums``), and each caller judges them by its own rounding bound. The
-tables may restart at tile faces (``_tilings``): an entry then sums only its
-own tile, so a box inside one tile is summed from local terms, and stacks
-of tilings are built and scanned as one array (``_table_layout``).
+tables may restart at tile faces (``_tilings``), so a box inside one tile is
+summed from local terms, and the tilings of a group of scales stack as one
+array (``_table_layout``), built, scanned (segmented, Blelloch 1990) and read once.
 
 Cubes and net cells alike go to numpy in batches idx[L, W] of point indices
 (``_padded_batches``): a row per cell, its members first, then the index N.
@@ -32,6 +32,8 @@ __all__ = []
 
 # Bound on the elements one batch of cells allocates at once; keeps memory flat in N.
 CHUNK_ELEMS = 1 << 15
+# Bound on the table elements one group of scales builds at once (``_cubes``).
+GROUP_ELEMS = 1 << 17
 # Summed-area tables serve a cloud whose grid of distinct coordinates has at
 # most this many cells per point; an IFS whose coordinates leave gaps has
 # about N cells per point, and its cubes are gathered.
@@ -90,7 +92,7 @@ def _padded_batches(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray, b
         done = end
 
 
-def _cubes(rank: _RankGrid, scales: np.ndarray, quota: int, budget: int, settle=None):
+def _cubes(rank: _RankGrid, scales: np.ndarray, quota: int, budget: int, settle=None, rows=0):
     """The distinct cubes Q(x_i, t_j) of at least ``quota`` points, in rank space.
 
     Yields, per scale, (j, first, batches): ``first[i]`` is the lowest centre
@@ -100,10 +102,11 @@ def _cubes(rank: _RankGrid, scales: np.ndarray, quota: int, budget: int, settle=
     meet the quota, row r of idx the padded members of the cube about
     ``centres[r]`` (``_padded_batches``). A cube's candidates are the run of
     its narrowest axis, a slice of that axis's order, kept by the test
-    ``|p_a - c_a| <= t`` on the other axes. ``settle(j, reps, runs)``, when
-    given, first sees a scale's first centres ``reps`` and their runs
-    [R, n, 2], and returns the mask of those it settled itself, which are
-    not built.
+    ``|p_a - c_a| <= t`` on the other axes. ``settle(js, reps, runs)``, when
+    given, first sees the first centres ``reps`` of a group of scales ``js``
+    and their runs [R, n, 2], if any, and returns the mask of those it
+    settled, which are not built; a group holds the scales whose tables of
+    ``rows`` per grid cell and tiling (2**n each) fit GROUP_ELEMS, one at least.
     """
     pts, (size, n) = rank.points, rank.points.shape
     # Rank r of axis a is entry a * N + r; the entry after them is the padding.
@@ -135,19 +138,26 @@ def _cubes(rank: _RankGrid, scales: np.ndarray, quota: int, budget: int, settle=
                 yield c, idx
 
     everyone = np.arange(size)
-    for j, t in enumerate(scales):
-        runs = np.stack([_admitted_runs(x, pts[:, a], t) for a, x in enumerate(rank.axes)], axis=1)
-        first = _first_alike(runs.reshape(size, 2 * n))
-        # The runs as slices of each axis's order.
-        ends = np.stack([at[runs[:, a]] for a, at in enumerate(rank.starts)], axis=1)
-        lengths = ends[..., 1] - ends[..., 0]
-        axis = lengths.argmin(axis=1)
-        starts = ends[everyone, axis, 0] + axis * size
-        lengths = lengths[everyone, axis]
-        centres = np.flatnonzero((first == everyone) & (lengths >= quota))
-        if settle is not None:
-            centres = centres[~settle(j, centres, runs[centres])]
-        yield j, first, batches(centres, axis, starts, lengths, t)
+    step = 1 if settle is None else max(1, GROUP_ELEMS // (2**n * math.prod(x.size for x in rank.axes) * rows))
+    for start in range(0, len(scales), step):
+        held, cut = [], []
+        for j in range(start, min(start + step, len(scales))):
+            runs = np.stack([_admitted_runs(x, pts[:, a], scales[j]) for a, x in enumerate(rank.axes)], axis=1)
+            first = _first_alike(runs.reshape(size, 2 * n))
+            # The runs as slices of each axis's order.
+            ends = np.stack([at[runs[:, a]] for a, at in enumerate(rank.starts)], axis=1)
+            lengths = ends[..., 1] - ends[..., 0]
+            axis = lengths.argmin(axis=1)
+            starts, lengths = ends[everyone, axis, 0] + axis * size, lengths[everyone, axis]
+            centres = np.flatnonzero((first == everyone) & (lengths >= quota))
+            held.append((j, first, axis, starts, lengths))
+            cut.append((j * size + centres, runs[centres]))
+        cubes, kept = map(np.concatenate, zip(*cut))  # cube j N + i: centre i at scale j
+        if settle is not None and cubes.size:
+            cubes = cubes[~settle(cubes // size, cubes % size, kept)]
+        parts = np.split(cubes, np.searchsorted(cubes, size * np.arange(start + 1, start + len(held))))
+        for (j, first, axis, starts, lengths), part in zip(held, parts):
+            yield j, first, batches(part - j * size, axis, starts, lengths, scales[j])
 
 
 def _first_alike(runs: np.ndarray) -> np.ndarray:
@@ -186,57 +196,57 @@ def _admitted_runs(coords: np.ndarray, centres: np.ndarray, t: float) -> np.ndar
         hi = hi + hi_up - hi_down
 
 
-def _tilings(rank: _RankGrid, runs: np.ndarray, side: float):
-    """(tiles, which): per axis each distinct coordinate x's tile number
-    [2, L] in two cuts into tiles of ``side`` from x[0], the second shifted
-    by side / 2 (tile j's centre x[0] + (j + 1/2) side or x[0] + j side),
-    and for each box of ``runs`` [C, n, 2] the tiling of the stack of
-    ``_table_layout(rank, tiles)`` holding it, unshifted cuts first, or -1
-    where a rounded face splits a run of exactly side / 2."""
-    tiles = []
-    which, split = np.zeros(len(runs), dtype=int), np.zeros(len(runs), dtype=bool)
+def _tilings(rank: _RankGrid, runs: np.ndarray, sides: np.ndarray, scale: np.ndarray):
+    """(tiles, which): per axis each distinct coordinate x's tile number [S, 2,
+    L] in two cuts per scale s into tiles of side ``sides[s]`` from x[0], the
+    second shifted by side / 2 (tile j's centre x[0] + (j + 1/2) side or x[0]
+    + j side), and per box of ``runs`` [C, n, 2] at scale ``scale[c]`` the
+    tiling of ``_table_layout(rank, tiles)`` holding it, unshifted cuts
+    first, or -1 where a rounded face splits a run of exactly side / 2."""
+    tiles, which, split = [], scale, np.zeros(len(runs), dtype=bool)
     for x, (lo, hi) in zip(rank.axes, runs.transpose(1, 2, 0)):
-        tiles.append(np.floor((x - x[0]) / side + np.array([[0.0], [0.5]])).astype(int))
-        held = tiles[-1][:, lo] == tiles[-1][:, hi - 1]
-        which = 2 * which + ~held[0]
-        split |= ~(held[0] | held[1])
-    which[split] = -1
-    return tiles, which
+        tiles.append(np.floor((x - x[0]) / sides[:, None, None] + np.array([[0.0], [0.5]])))
+        flat, at = tiles[-1].ravel(), 2 * x.size * scale + lo
+        held = [flat[at + v] == flat[at + v + hi - 1 - lo] for v in (0, x.size)]
+        which, split = 2 * which + ~held[0], split | ~(held[0] | held[1])
+    return tiles, np.where(split, -1, which)
 
 
-_Layout = collections.namedtuple("_Layout", "cells shape depth reach pick")
+_Layout = collections.namedtuple("_Layout", "cells shape depth reach pick slot")
 
 
-def _table_layout(rank: _RankGrid, tiles=None, stack=None):
+def _table_layout(rank: _RankGrid, tiles=None, which=None):
     """Where the rank grid has at most GRID_CELLS_PER_POINT cells per point,
     the ``_Layout`` of tables over a stack of its tilings; else None.
 
-    ``tiles`` holds per axis versions [V_a, L] of nondecreasing tile numbers
-    (one tile if None); stack entry s takes version pick[s, a] on axis a
-    (all choices, axis 0 slowest, or ``stack``'s). An entry per grid cell,
-    ``shape`` (V, L_0, ...), sums its tile's points of ranks up to its own;
-    point i adds to entry ``cells[s, i]``; ``reach[a][v, r]`` counts the
-    coordinates before r in its tile; ``depth`` bounds the roundings a term
-    passes on its way into an entry (``_summed_area``).
+    ``tiles[a]`` [S, W, L] holds nondecreasing tile numbers in S groups of W
+    versions of axis a (one tile if None). Tiling s W**n + (v_0 ... v_{n-1}
+    in base W) takes version v_a of group s on each axis; the stack holds
+    those in ``which`` (all if None), deepest first: tiling i is entry
+    ``slot[i]``, and entry e takes version ``pick[e, a]`` of the S W on axis
+    a and sums per grid cell, ``shape`` (E, L_0, ...), its tile's points of
+    ranks up to the cell's (point i in ``cells[e, i]``). ``reach[a][v, r]``
+    counts the coordinates before r in its tile, and ``depth[e]`` bounds the
+    roundings a term passes into an entry of e's group.
     """
-    shape = tuple(x.size for x in rank.axes)
+    shape, n = tuple(x.size for x in rank.axes), len(rank.axes)
     if math.prod(shape) > GRID_CELLS_PER_POINT * len(rank.points):
         return None
-    if tiles is None:
-        tiles = [np.zeros((1, size), dtype=int) for size in shape]
-    pick = np.array(list(itertools.product(*(range(len(v)) for v in tiles))))
-    pick = pick if stack is None else pick[stack]
+    tiles = tiles or [np.zeros((1, 1, size)) for size in shape]
+    groups, width = tiles[0].shape[:2]
+    opens = [np.diff(x, axis=2, prepend=-np.inf).reshape(groups * width, -1) != 0.0 for x in tiles]
+    reach = [np.arange(x.shape[1]) - np.maximum.accumulate(x * np.arange(x.shape[1]), axis=1) for x in opens]
     cells = np.ravel_multi_index([r - 1 for r in rank.ranks], shape)
     # bincount adds the points that share a cell, then each axis's prefix
-    # sums add ceil(log2(coordinates per tile)) times.
-    depth, reach = int(np.bincount(cells).max()) - 1, []
-    for versions in tiles:
-        coord, first = np.arange(versions.shape[1]), np.ones(versions.shape, dtype=bool)
-        first[:, 1:] = versions[:, 1:] != versions[:, :-1]
-        reach.append(coord - np.maximum.accumulate(np.where(first, coord, 0), axis=1))
-        depth += int(reach[-1].max() + 1).bit_length()
-    cells = cells + math.prod(shape) * np.arange(len(pick))[:, None]
-    return _Layout(cells, (len(pick),) + shape, depth, reach, pick)
+    # sums add ceil(log2(coordinates per tile)) times (frexp's exponent).
+    depth = np.bincount(cells).max() - 1 + sum(np.frexp(1 + x.reshape(groups, -1).max(1))[1] for x in reach)
+    stack = np.arange(groups * width**n) if which is None else np.flatnonzero(np.bincount(which))
+    stack = stack[np.argsort(-depth[stack // width**n], kind="stable")]
+    group, *version = np.unravel_index(stack, (groups,) + (width,) * n)
+    slot = np.bincount(stack, np.arange(stack.size), groups * width**n).astype(int)
+    cells = cells + math.prod(shape) * np.arange(stack.size)[:, None]
+    pick = np.stack(version, axis=1) + width * group[:, None]
+    return _Layout(cells, (stack.size,) + shape, depth[group], reach, pick, slot)
 
 
 def _binned(index: np.ndarray, size: int, quantities) -> np.ndarray:
@@ -253,52 +263,45 @@ def _binned(index: np.ndarray, size: int, quantities) -> np.ndarray:
 
 
 def _summed_area(layout: _Layout, quantities) -> np.ndarray:
-    """Summed-area tables [T, V G] of per-point ``quantities`` [T, V, N]
-    ([T, N] if V = 1), scanned at once: per axis ceil(log2(L)) doubling steps
-    for tiles of L coordinates, each adding to every entry the one a power
-    of two before it in its tile, where a running sum would take L - 1."""
+    """Summed-area tables [T, E G] of per-point ``quantities`` [T, E, N]
+    ([T, N] if E = 1), scanned at once: per axis ceil(log2(L)) doubling steps
+    for tiles of L coordinates, each adding to every entry the one a power of
+    two before it in its tile, up to the last tiling it changes (deepest first)."""
     count, size = len(quantities), math.prod(layout.shape)
     tables = _binned(layout.cells, size, quantities).reshape((count,) + layout.shape)
     del quantities  # the caller passes its only reference
-    for axis, reach in enumerate(layout.reach):
-        x = tables.swapaxes(axis + 2, -1)
-        reach = reach[layout.pick[:, axis]]
-        reach = reach.reshape(reach.shape[:1] + (1,) * (len(layout.reach) - 1) + reach.shape[1:])
-        for shift in (2**b for b in range(int(reach.max()).bit_length())):
-            np.add(x[..., shift:], x[..., :-shift], out=x[..., shift:], where=reach[..., shift:] >= shift)
+    for axis, r in enumerate(layout.reach):
+        x, r = tables.swapaxes(axis + 2, -1), r[layout.pick[:, axis]]
+        shifts = 2 ** np.arange(int(r.max()).bit_length())
+        stops = len(r) - np.argmax(r.max(axis=1)[::-1, None] >= shifts, axis=0)  # the later ones reach less far
+        r = r.reshape(r.shape[:1] + (1,) * (len(layout.reach) - 1) + r.shape[1:])
+        for s, e in zip(shifts, stops):
+            np.add(x[:, :e, ..., s:], x[:, :e, ..., :-s], out=x[:, :e, ..., s:], where=r[:e, ..., s:] >= s)
     return tables.reshape(count, size)
 
 
-def _box_sums(layout: _Layout, tables: np.ndarray, runs: np.ndarray, which=None):
-    """Each of ``tables`` [T, V G] summed over boxes of the rank grid, in chunks.
+def _box_sums(layout: _Layout, tables: np.ndarray, runs: np.ndarray, which: np.ndarray):
+    """Each of ``tables`` [T, E G] summed over boxes of the rank grid, in chunks.
 
     ``runs`` [C, n, 2] holds each box's runs [lo, hi) of distinct coordinates
-    (``_cubes``), inside a tile of the stack's tiling ``which[c]`` (0 if
-    None). Yields (part, sums, spread), sums [T, len(part)] for at most
-    CHUNK_ELEMS // T boxes: the 2**n corner entries, of rank hi - 1 or lo - 1
-    per axis (0 if lo opens a tile), with alternating signs, all-upper
-    first. ``spread`` adds the corners; for tables of nonnegative terms it
-    bounds every partial sum.
+    (``_cubes``), inside a tile of stack entry ``which[c]``. Yields (part,
+    sums, spread), each [T, len(part)], for at most CHUNK_ELEMS // 2T boxes:
+    the 2**n corner entries, of rank hi - 1 or lo - 1 per axis (0 if lo opens
+    a tile), with alternating signs, all-upper first. ``spread`` adds the
+    corners; for tables of nonnegative terms it bounds every partial sum.
     """
-    entries = layout.shape[1:]
-    ends = np.maximum(runs - 1, 0) * np.cumprod((1,) + entries[:0:-1])[::-1, None]
-    versions = [0] * len(entries) if which is None else layout.pick[which].T
-    inner = [reach[v, lo] > 0 for reach, v, lo in zip(layout.reach, versions, runs[:, :, 0].T)]
-    base = 0 if which is None else which * math.prod(entries)
-    corners = []  # (entries, None or where no lower end opens a tile, sign)
-    for c in itertools.product((1, 0), repeat=len(entries)):
-        low = [inner[a] for a, s in enumerate(c) if not s]
-        at = base + sum(ends[:, a, s] for a, s in enumerate(c))
-        corners.append((at, np.logical_and.reduce(low) if low else None, np.subtract if len(low) % 2 else np.add))
-    step = max(1, CHUNK_ELEMS // len(tables))
+    strides = np.cumprod((1,) + layout.shape[:0:-1])[::-1, None]  # of entry, then each axis
+    step = max(1, CHUNK_ELEMS // (2 * len(tables)))
     for start in range(0, len(runs), step):
         part = slice(start, start + step)
+        at, ends = which[part], np.maximum(runs[part] - 1, 0) * strides[1:]
+        inner = [reach[v, lo] > 0 for reach, v, lo in zip(layout.reach, layout.pick[at].T, runs[part, :, 0].T)]
         sums = spread = 0.0
-        for at, live, sign in corners:
-            value = np.take(tables, at[part], axis=1)
-            if live is not None:
-                value *= live[part]
-            sums = sign(sums, value)
+        for c in itertools.product((1, 0), repeat=len(layout.reach)):
+            value = np.take(tables, at * strides[0] + sum(ends[:, a, s] for a, s in enumerate(c)), 1)
+            low = [inner[a] for a, s in enumerate(c) if not s]  # lower ends inside their tile
+            value *= np.logical_and.reduce(low)
+            sums = (np.subtract if len(low) % 2 else np.add)(sums, value)
             spread = spread + value
         del value  # not held while the caller reads the chunk
         yield part, sums, spread

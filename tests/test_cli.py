@@ -73,6 +73,14 @@ class TestNorms:
         assert sample["generator"] == "interval"
         assert float(sample["lp"]) >= 0.0
 
+    def test_a_factor_at_the_resolution_scale_runs(self, tmp_path):
+        # At factor 1 the finest scales of interval d5 hold no cube of the
+        # point quota, so they are left NaN and never reach the tables.
+        out = tmp_path / "norms.csv"
+        assert main(["norms", "interval", "--depth", "5", "--factor", "1", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        assert rows and all(r["besov"] != "" for r in rows)
+
     def test_infinite_alpha_fails_cleanly(self, capsys):
         assert main(["norms", "interval", "--depth", "5", "--alpha", "inf"]) == 2
         err = capsys.readouterr().err

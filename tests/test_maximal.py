@@ -274,6 +274,23 @@ class TestErrorMatrix:
         assert not np.isnan(out[:, 0]).any()
         assert np.isnan(out[:, 1]).all()
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_scales_with_no_cube_at_the_quota_are_nan(self, k):
+        # At factor 1 the finest scales of interval d5 hold no cube of the
+        # point quota: they never reach the tables, their columns are NaN,
+        # and every other column is the matrix without them, bit for bit.
+        cloud = build("interval", 5)
+        grid = fs.ScaleGrid.dyadic(cloud, factor=1.0)
+        vals = rough_sample(cloud)[None]
+        got = fs.error_matrices(cloud, vals, k, 2.0, grid)
+        pts = cloud.points
+        counts = (np.abs(pts[:, None] - pts[None]).max(axis=2)[..., None] <= grid.scales).sum(axis=1)
+        empty = (counts < fs.polyapprox.point_quota(fs.polyapprox.basis_size(1, k))).all(axis=0)
+        assert empty.any() and not empty.all()
+        assert np.isnan(got[..., empty]).all()
+        rest = fs.ScaleGrid(scales=grid.scales[~empty], levels=grid.levels[~empty], diam=grid.diam)
+        assert np.array_equal(got[..., ~empty], fs.error_matrices(cloud, vals, k, 2.0, rest), equal_nan=True)
+
     def test_isolated_point_raises(self, make_cloud):
         pts = [[0.0, 0.0], [0.01, 0.0], [5.0, 5.0]]
         cloud = make_cloud(pts)
@@ -783,6 +800,27 @@ class TestBoxSums:
         _, fits = self.fitted_cells(monkeypatch, lambda: fs.error_matrices(cloud, vals[:1], 2, 2.0, grid))
         assert fits <= cap
 
+    @pytest.mark.parametrize("name,depth,factor", [("cantor4", 3, 1e-10), ("cantor4", 6, 1.0)])
+    def test_detrending_bins_are_dense(self, monkeypatch, name, depth, factor):
+        # Far below the resolution scale floor((x - x[0]) / 4t) runs to about
+        # diam / 4t. Numbered densely, a tiling's tiles are at most the
+        # distinct coordinates per axis; the bound is checked before the bins
+        # are allocated.
+        cloud = build(name, depth)
+        grid = fs.ScaleGrid.dyadic(cloud, factor=factor)
+        cells = math.prod(x.size for x in fs.rankspace._rank_grid(cloud).axes)
+        detrended, bins = fs.maximal._detrended, []
+
+        def bounded(z, w, values, tile, ntile, width):
+            assert ntile <= tile.shape[0] * cells, (ntile, tile.shape[0], cells)
+            bins.append(ntile)
+            return detrended(z, w, values, tile, ntile, width)
+
+        monkeypatch.setattr(fs.maximal, "_detrended", bounded)
+        for k in (1, 2):
+            fs.error_matrices(cloud, rough_sample(cloud)[None], k, 2.0, grid)
+        assert bins
+
     def test_constants_and_affine_functions_settle_without_a_fit(self, monkeypatch):
         # Their errors are 0, and each cube's bound puts its error below the
         # kernel's clamp, taken with a lower bound on its max|f|.
@@ -800,6 +838,63 @@ class TestBoxSums:
                     vals = np.stack([battery[f] for f in names])
                     out = fs.error_matrices(cloud, vals, k, 2.0, grid)
                     assert np.all(out == 0.0), (name, depth, k)
+
+
+class TestGroupedTables:
+    """Scales grouped into one table build give the bytes of a build per scale."""
+
+    @staticmethod
+    def builds(monkeypatch, call, budget=None):
+        """call()'s result and its table builds, under GROUP_ELEMS = ``budget``."""
+        summed, built = fs.maximal._summed_area, []
+
+        def counting(*args):
+            built.append(args[0].shape[0])
+            return summed(*args)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(fs.maximal, "_summed_area", counting)
+            if budget is not None:
+                patched.setattr(fs.rankspace, "GROUP_ELEMS", budget)
+            return call(), len(built)
+
+    def assert_alone_alike(self, monkeypatch, cloud, budget=None):
+        grid = fs.ScaleGrid.dyadic(cloud)
+        battery = [fs.sample(tf, cloud).values for tf in fs.battery(cloud)
+                   if tf.name in TestBoxSums.FUNCTIONS]
+        many = np.stack([rough_sample(cloud)] + battery)
+        for vals in (many[:1], many):
+            for k in (1, 2):
+                def matrices():
+                    return fs.error_matrices(cloud, vals, k, 2.0, grid)
+
+                got, grouped = self.builds(monkeypatch, matrices, budget)
+                want, alone = self.builds(monkeypatch, matrices, 0)
+                assert np.array_equal(got, want, equal_nan=True), (len(vals), k)
+                assert grouped < alone == len(grid), (len(vals), k)
+
+        def hl():
+            return fs.hl_maximal(cloud, many[0], 1.0, grid).values
+
+        got, _ = self.builds(monkeypatch, hl, budget)
+        assert np.array_equal(got, self.builds(monkeypatch, hl, 0)[0])
+
+    @pytest.mark.parametrize("name", TestBoxSums.CLOUDS)
+    def test_small_clouds(self, request, monkeypatch, name):
+        self.assert_alone_alike(monkeypatch, request.getfixturevalue(name))
+
+    @pytest.mark.parametrize("name,depth", [("interval", 12), ("cantor4", 6)])
+    def test_4096_point_clouds_under_a_larger_budget(self, monkeypatch, name, depth):
+        self.assert_alone_alike(monkeypatch, build(name, depth), 1 << 20)
+
+    @pytest.mark.parametrize("name,depth", [("interval", 8), ("cantor4", 4), ("interval", 10)])
+    def test_one_build_per_matrix_on_the_small_rungs(self, monkeypatch, name, depth):
+        # The 256- and 1,024-point rungs of the norms-scaling benchmark.
+        cloud = build(name, depth)
+        grid = fs.ScaleGrid.dyadic(cloud)
+        for k in (1, 2):
+            _, built = self.builds(monkeypatch, lambda: fs.error_matrices(cloud, rough_sample(cloud)[None], k, 2.0, grid))
+            assert built == 1, k
 
 
 class TestHlUnderflow:
