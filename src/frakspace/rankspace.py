@@ -11,7 +11,8 @@ tables may restart at tile faces (``_tilings``), so a box inside one tile is
 summed from local terms, and the tilings of a group of scales stack as one
 array (``_table_layout``), built, scanned (segmented, Blelloch 1990) and read once.
 
-Cubes and net cells alike go to numpy in batches idx[L, W] of point indices
+Cubes, net cells and the checks' cubes about any centre (``_cube_cells``)
+alike go to numpy in batches idx[L, W] of point indices
 (``_padded_batches``): a row per cell, its members first, then the index N.
 Every per-point array a batch indexes has an entry N of weight and value
 zero, so padding adds nothing to a mass, a sum or a fit (``_fit_batches``).
@@ -307,15 +308,17 @@ def _box_sums(layout: _Layout, tables: np.ndarray, runs: np.ndarray, which: np.n
         yield part, sums, spread
 
 
-def _fit_batches(cloud: WeightedPointCloud, values: np.ndarray, k: int):
+def _fit_batches(cloud: WeightedPointCloud, values: np.ndarray, k: int, each: bool = False):
     """The batch budget and batch builder for fits of ``values`` [F, N].
 
-    ``batch(idx, origin, half)`` gathers cells idx[L, W], padded with the
-    index N, into the kernel's arguments (V, w, f, mass): V is the design in
-    each cell's chart (x - origin[l]) / half, or None for constants (k = 1).
-    A padding row of V is zero, its chart coordinates zeroed first: point N,
-    at the origin, can lie far outside a small cell's chart, where its
-    monomials of high degree would overflow.
+    ``batch(idx, origin, half, rows)`` gathers cells idx[L, W], padded with
+    the index N, into the kernel's arguments (V, w, f, mass): V is the design
+    in each cell's chart (x - origin[l]) / half, or None for constants (k =
+    1), ``half`` one half-side or one per cell [L, 1, 1]. f holds every
+    function on every cell, or with ``each`` only function ``rows[l]`` on
+    cell l: [1, L, W]. A padding row of V is zero, its chart coordinates
+    zeroed first: point N, at the origin, can lie far outside a small cell's
+    chart, where its monomials of high degree would overflow.
     """
     n = cloud.ambient_dim
     exps = np.asarray(multi_indices(n, k - 1), dtype=int).reshape(-1, n)
@@ -324,9 +327,9 @@ def _fit_batches(cloud: WeightedPointCloud, values: np.ndarray, k: int):
     vals = np.concatenate([values, np.zeros((values.shape[0], 1))], axis=1)
     # A batch of fits keeps about two arrays per function and basis column
     # alive, each holding one element per (cell, point) pair.
-    budget = max(1, CHUNK_ELEMS // (2 * (values.shape[0] + exps.shape[0])))
+    budget = max(1, CHUNK_ELEMS // (2 * ((1 if each else values.shape[0]) + exps.shape[0])))
 
-    def batch(idx, origin, half):
+    def batch(idx, origin, half, rows=None):
         w = wts[idx]
         V = None
         if exps.shape[0] > 1:
@@ -335,6 +338,39 @@ def _fit_batches(cloud: WeightedPointCloud, values: np.ndarray, k: int):
             z *= live[..., None]
             V = _vandermonde(z.reshape(-1, n), exps).reshape(idx.shape + (-1,))
             V[..., 0] = live  # the constant monomial
-        return V, w, np.take(vals, idx, axis=1), w.sum(axis=1)
+        f = np.take(vals, idx, axis=1) if rows is None else vals[rows[:, None], idx][None]
+        return V, w, f, w.sum(axis=1)
 
     return budget, batch
+
+
+def _cube_cells(
+    cloud: WeightedPointCloud, values, k: int, centres, halves, least=1, rows=None, charts=None
+):
+    """The kernel's arguments (V, w, f, mass) on cubes Q(centres[c], halves[c]).
+
+    A cube's members pass ``Cube.contains``' test and keep their index
+    order, so they are ``restrict``'s; each test covers at most CHUNK_ELEMS
+    (cube, point) pairs. Yields (cubes, args) for the cubes of at least
+    ``least`` >= 1 members, most members first within a test, as
+    ``_fit_batches`` gathers them: cube c holds function ``rows[c]`` of
+    ``values`` [F, N] (all F if ``rows`` is None), in the chart (origins [C,
+    n], half-sides [C]) of ``charts``, by default its own.
+    """
+    pts, size = cloud.points, cloud.size
+    origins, sides = (centres, halves) if charts is None else charts
+    budget, batch = _fit_batches(cloud, values, k, rows is not None)
+    step = max(1, CHUNK_ELEMS // size)
+    for start in range(0, len(centres), step):
+        c = centres[start : start + step]
+        dist = np.abs(pts[:, 0] - c[:, :1])
+        for axis in range(1, pts.shape[1]):
+            np.maximum(dist, np.abs(pts[:, axis] - c[:, axis, None]), out=dist)
+        cube, member = np.nonzero(dist <= halves[start : start + step, None])
+        count = np.bincount(cube, minlength=len(c))
+        order = np.argsort(-count, kind="stable")
+        order = order[count[order] >= least]
+        starts = count.cumsum() - count
+        for part, idx in _padded_batches(np.append(member, size), starts[order], count[order], budget):
+            at = start + order[part]
+            yield at, batch(idx, origins[at], sides[at, None, None], None if rows is None else rows[at])

@@ -18,7 +18,9 @@ draws, which battery functions enter, and budgets.
 
 ``run_all`` works cloud by cloud. ``_needs`` lists the error matrices the
 checks read; they are united by (k, u) and fetched with one kernel call per
-(k, u), so the checks only hit the cache. ``_observe`` then calls each
+(k, u), so the checks only hit the cache. The sampling checks fit their
+random cubes through the same kernel in padded batches (``_cube_fits``), not
+one ``best_approx`` call per cube. ``_observe`` then calls each
 ``check_*`` and yields observations (check, label, value, witnesses,
 evaluated); ``label`` is None for a direct check and names the constant
 family of a stability check. One reduction follows: the worst value of each
@@ -28,15 +30,17 @@ EVALUATED (``evaluated == 0``).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyCube, OutOfRange, RankDeficient, TooFewPoints
+from .errors import OutOfRange
 from .functions import battery, sample
-from .geometry import Cube, restrict
-# approx_error_matrix stays importable here: bench/layers.py wraps it by name.
+# approx_error_matrix, restrict, best_approx and reverse_holder_ratio stay
+# importable here: bench/layers.py wraps them by name.
+from .geometry import restrict  # noqa: F401
 from .maximal import (  # noqa: F401
     ScaleGrid,
     _sharp_from_matrix,
@@ -52,14 +56,14 @@ from .measure import (
     generator_spec,
 )
 from .norms import _column_lp, lp_norm
-from .polyapprox import (
-    Polynomial,
-    _weighted_norm,
+from .polyapprox import (  # noqa: F401
+    _local_errors,
+    basis_size,
     best_approx,
-    multi_indices,
+    point_quota,
     reverse_holder_ratio,
 )
-from .rankspace import CHUNK_ELEMS
+from .rankspace import CHUNK_ELEMS, _cube_cells
 
 __all__ = [
     "Witness",
@@ -157,6 +161,14 @@ class _Worst:
             self.value = value
             self.witnesses = [Witness(*self._where, function, params, value)]
 
+    def offer_max(self, values: np.ndarray, describe) -> None:
+        """Offer the first largest of ``values``, NaN taking no part, with
+        ``describe(i)``, the (function, params) of value i."""
+        values = np.where(np.isnan(values), -np.inf, values)
+        if values.size:
+            i = int(np.argmax(values))
+            self.offer(float(values[i]), *describe(i))
+
 
 def poincare_sigma(q: float, alpha: float, s: float) -> float:
     """Inner exponent sigma with 1/sigma = 1/q + alpha/s."""
@@ -214,10 +226,7 @@ class MatrixCache:
     ) -> list:
         """Pointwise sharp maximal values of each function, from cached matrices."""
         scales = self.grid(cloud).scales
-        return [
-            _sharp_from_matrix(matrix, scales, alpha)
-            for matrix in self.matrices(cloud, funcs, k, u)
-        ]
+        return [_sharp_from_matrix(m, scales, alpha) for m in self.matrices(cloud, funcs, k, u)]
 
 
 @dataclass(frozen=True)
@@ -269,7 +278,7 @@ class RunConfig:
                 like = (("check", 1.0),)
             try:
                 kwargs[name] = _conform(value, like)
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise OutOfRange(f"config field {name!r}: {exc}") from None
         return cls(**kwargs)
 
@@ -285,7 +294,7 @@ def _conform(value, like, record: bool = False):
     A tuple takes a JSON list and returns a tuple: a list of any length
     whose items take the shape of the default's first item, and inside that
     a record of the default's own length. A float takes any number, an int
-    an int, a str a str; no bool passes for a number.
+    an int >= 0 (each counts or seeds), a str a str; no bool passes for a number.
     """
     if isinstance(like, tuple):
         if not isinstance(value, (list, tuple)) or record and len(value) != len(like):
@@ -296,6 +305,8 @@ def _conform(value, like, record: bool = False):
     kinds = (int, float) if isinstance(like, float) else type(like)
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise TypeError(f"expected {type(like).__name__}, got {value!r}")
+    if isinstance(like, int) and value < 0:
+        raise ValueError(f"expected an int >= 0, got {value!r}")
     return float(value) if isinstance(like, float) else value
 
 
@@ -316,139 +327,159 @@ def _radius_window(cloud: WeightedPointCloud) -> tuple[float, float]:
 def _random_cubes(cloud: WeightedPointCloud, rng, count: int, lo: float, hi: float):
     """Centres snapped to the cloud, then half-sides log-uniform in [lo, hi].
 
-    Targets are snapped in chunks, each [chunk, N, n] difference at most
-    CHUNK_ELEMS elements, so memory stays flat in the draw count.
+    Targets are snapped in chunks of at most CHUNK_ELEMS (target, point,
+    axis) triples, so memory stays flat in the draw count; squared distances
+    add axis by axis, as a sum over a short trailing axis would, only faster.
     """
     box_lo, box_hi = cloud.bbox
     targets = box_lo + rng.random((count, cloud.ambient_dim)) * (box_hi - box_lo)
     nearest = np.empty(count, dtype=np.intp)
     step = max(1, CHUNK_ELEMS // cloud.points.size)
     for i in range(0, count, step):
-        d2 = ((targets[i : i + step, None, :] - cloud.points[None, :, :]) ** 2).sum(axis=2)
+        d2 = sum((t[:, None] - x) ** 2 for t, x in zip(targets[i : i + step].T, cloud.points.T))
         nearest[i : i + step] = np.argmin(d2, axis=1)
     radii = np.exp(np.log(lo) + rng.random(count) * (np.log(hi) - np.log(lo)))
     return cloud.points[nearest], radii
 
 
+def _first_evaluated(draws: int, wanted: int, fit) -> np.ndarray:
+    """The first ``wanted`` of ``draws`` draws that evaluate, in draw order.
+
+    ``fit(js)`` fits draws ``js`` and says which evaluate. Each round fits
+    the next ``wanted`` less those found, so no draw is fitted twice, nor
+    any past the one where a loop with an early exit would stop."""
+    kept, start = [], 0
+    while len(kept) < wanted and start < draws:
+        js = np.arange(start, min(draws, start + wanted - len(kept)))
+        kept += js[fit(js)].tolist()
+        start += js.size
+    return np.asarray(kept, dtype=int)
+
+
+def _cube_fits(cloud: WeightedPointCloud, values, rows, centres, halves, k: int, u: float):
+    """Errors E_k in L^u of values[rows[c]] on cubes Q(centres[c], halves[c]),
+    the minimizers' coefficients [C, d] and the cubes' masses, fitted in
+    batches (``rankspace._cube_cells``). An error is NaN where ``best_approx``
+    raises: below the point quota, or rank deficient, f not zero there."""
+    d = basis_size(cloud.ambient_dim, k)
+    err, coef, mass = np.full(len(rows), np.nan), np.zeros((len(rows), d)), np.zeros(len(rows))
+    for at, (V, w, f, m) in _cube_cells(cloud, values, k, centres, halves, point_quota(d), rows):
+        fit = _local_errors(V, w, f, u, m)
+        err[at], coef[at], mass[at] = fit[0][0], fit[1][0], m
+    return err, coef, mass
+
+
 def check_monotonicity(
-    cloud: WeightedPointCloud,
-    funcs,
-    rng: np.random.Generator,
-    pairs: int,
-    window: tuple[float, float] | None = None,
-    generator: str = "?",
+    cloud: WeightedPointCloud, funcs, rng: np.random.Generator, pairs: int,
+    window: tuple[float, float] | None = None, generator: str = "?",
 ):
     """Nested cubes: the raw error on the inner cube never exceeds the outer.
 
-    Returns (worst_ratio, regularity_constant, witnesses, evaluated). The
-    regularity constant is the worst ratio of measure-normalized errors,
-    which is only controlled by the doubling behaviour of the measure and
-    is tracked for depth stability rather than against a tight budget.
+    Draw j fits funcs[j % F] at MONO_DEGREES[j % 2] and MONO_EXPONENTS[j % 3]
+    on an outer cube and an inner cube inside it; the first ``pairs`` of 3
+    ``pairs`` draws where ``best_approx`` fits both count, each round fitting
+    both cubes of each (k, u) in one pass (``_first_evaluated``). The inner
+    error is the smaller of the inner fit's and the outer minimizer's there.
+    Returns (worst_ratio, regularity_constant, witnesses, evaluated, entered):
+    the regularity constant, the worst ratio of measure-normalized errors over
+    the ``entered`` draws where both are positive, is only controlled by the
+    doubling of the measure and is tracked for depth stability.
     """
     lo, hi = window or _radius_window(cloud)
     draws = 3 * pairs
     centers, inner_r = _random_cubes(cloud, rng, draws, lo, max(hi / 2.2, lo * 1.01))
-    expand_fracs = rng.random(draws)
-    offset_fracs = rng.random((draws, cloud.ambient_dim))
-    outer_r = inner_r * (1.5 + 0.7 * expand_fracs)
+    outer_r = inner_r * (1.5 + 0.7 * rng.random(draws))
+    shift = (2.0 * rng.random((draws, cloud.ambient_dim)) - 1.0) * (outer_r - inner_r)[:, None]
+    inner_c = centers + shift
+    values = np.stack([cloud.values_of(gf) for gf in funcs])
+    fid = np.arange(draws) % len(funcs)
+    ks = np.take(MONO_DEGREES, np.arange(draws) % len(MONO_DEGREES))
+    us = np.take(MONO_EXPONENTS, np.arange(draws) % len(MONO_EXPONENTS))
+    err, mass = np.full((2, draws), np.nan), np.zeros((2, draws))  # outer, inner
+    candidate = np.zeros(draws)
 
-    worst, regularity = _Worst(generator, cloud.depth), 0.0
-    evaluated = 0
-    for j in range(draws):
-        if evaluated >= pairs:
-            break
-        gf = funcs[j % len(funcs)]
-        k = MONO_DEGREES[j % len(MONO_DEGREES)]
-        u = MONO_EXPONENTS[j % len(MONO_EXPONENTS)]
-        c_out = centers[j]
-        shift = (2.0 * offset_fracs[j] - 1.0) * (outer_r[j] - inner_r[j])
-        outer = Cube(c_out, float(outer_r[j]))
-        inner = Cube(c_out + shift, float(inner_r[j]))
-        try:
-            res_out = best_approx(cloud, outer, gf, k, u)
-            res_in = best_approx(cloud, inner, gf, k, u)
-        except (TooFewPoints, RankDeficient):
-            continue
-        idx_in, mass_in = restrict(cloud, inner)
-        candidate = _weighted_norm(
-            cloud.values_of(gf)[idx_in] - res_out.minimizer(cloud.points[idx_in]),
-            cloud.weights[idx_in],
-            u,
-        )
-        value_in = min(res_in.value, candidate)
-        evaluated += 1
-        if res_out.value == 0.0:
-            ratio = 1.0 if value_in == 0.0 else math.inf
-        else:
-            ratio = value_in / res_out.value
-        params = f"k={k},u={u!r},r_in={float(inner_r[j])!r},r_out={float(outer_r[j])!r}"
-        worst.offer(ratio, gf.name, params)
-        if value_in > 0.0 and res_out.value > 0.0:
-            reg = (value_in / mass_in ** (1.0 / u)) / res_out.normalized
-            regularity = max(regularity, reg)
-    return worst.value, regularity, worst.witnesses, evaluated
+    def fit(js):
+        for k, u in itertools.product(MONO_DEGREES, MONO_EXPONENTS):
+            on = js[(ks[js] == k) & (us[js] == u)]
+            nest = (np.concatenate([centers[on], inner_c[on]]),
+                    np.concatenate([outer_r[on], inner_r[on]]))
+            e, c, m = _cube_fits(cloud, values, np.tile(fid[on], 2), *nest, k, u)
+            err[:, on], mass[:, on] = e.reshape(2, -1), m.reshape(2, -1)
+            # The outer minimizer's error on the inner cube, in the outer chart.
+            ok = ~np.isnan(err[:, on]).any(axis=0)
+            on, c = on[ok], c[: on.size][ok]
+            cells = inner_c[on], inner_r[on], 1, fid[on], (centers[on], outer_r[on])
+            for at, (V, w, f, _) in _cube_cells(cloud, values, k, *cells):
+                resid = f[0] - (c[at] if V is None else (V @ c[at, :, None])[..., 0])
+                candidate[on[at]] = np.sum(w * np.abs(resid) ** u, axis=1) ** (1.0 / u)
+        return ~np.isnan(err[:, js]).any(axis=0)
+
+    kept = _first_evaluated(draws, pairs, fit)
+    out, inner = err[0, kept], np.minimum(err[1, kept], candidate[kept])
+    u = us[kept]
+    both = (inner > 0.0) & (out > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(out > 0.0, inner / out, np.where(inner > 0.0, np.inf, 1.0))
+        reg = (inner / mass[1, kept] ** (1.0 / u)) / (out / mass[0, kept] ** (1.0 / u))
+    regularity = float(reg[both].max()) if both.any() else 0.0
+
+    def describe(i):
+        j = kept[i]
+        u, r_in, r_out = float(us[j]), float(inner_r[j]), float(outer_r[j])
+        return funcs[fid[j]].name, f"k={ks[j]},u={u!r},r_in={r_in!r},r_out={r_out!r}"
+
+    worst = _Worst(generator, cloud.depth)
+    worst.offer_max(ratio, describe)
+    return worst.value, regularity, worst.witnesses, int(kept.size), int(both.sum())
 
 
 def check_poincare(
-    cloud: WeightedPointCloud,
-    funcs,
-    cache: MatrixCache,
-    rng: np.random.Generator,
-    samples: int,
-    window: tuple[float, float] | None = None,
-    generator: str = "?",
+    cloud: WeightedPointCloud, funcs, cache: MatrixCache, rng: np.random.Generator,
+    samples: int, window: tuple[float, float] | None = None, generator: str = "?",
 ):
     """Estimated constant in the local error vs averaged-sharp inequality.
 
     For cubes Q of half-side t the measure-normalized local error in L^q is
     compared with t**alpha times the L^sigma average of the sharp maximal
-    function over the doubled cube, 1/sigma = 1/q + alpha/s.
+    function over the doubled cube, 1/sigma = 1/q + alpha/s. Cube j fits
+    funcs[j % F]; the first ``samples`` of 3 ``samples`` cubes that
+    ``best_approx`` fits count (``_first_evaluated``), a round in one pass,
+    and their doubled cubes' averages come from one batched gather.
     """
     if not funcs:
         return 0.0, [], 0
     alpha, q = POINCARE_ALPHA, POINCARE_Q
     sigma = poincare_sigma(q, alpha, cloud.s)
     k = degree_for_sharp(alpha)
-    centers, radii = _random_cubes(
-        cloud, rng, 3 * samples, *(window or _radius_window(cloud))
-    )
+    draws = 3 * samples
+    centers, radii = _random_cubes(cloud, rng, draws, *(window or _radius_window(cloud)))
+    values = np.stack([cloud.values_of(gf) for gf in funcs])
+    fid = np.arange(draws) % len(funcs)
+    err, mass = np.full(draws, np.nan), np.zeros(draws)
 
+    def fit(js):
+        err[js], _, mass[js] = _cube_fits(cloud, values, fid[js], centers[js], radii[js], k, q)
+        return ~np.isnan(err[js])
+
+    kept = _first_evaluated(draws, samples, fit)
+    sharp = np.stack(cache.sharp_values(cloud, funcs, alpha, 1.0, k))
+    avg = np.zeros(draws)
+    doubled = centers[kept], 2.0 * radii[kept], 1, fid[kept]
+    for at, (_, w, s, m) in _cube_cells(cloud, sharp, 1, *doubled):
+        avg[kept[at]] = (np.sum(w * s[0] ** sigma, axis=1) / m) ** (1.0 / sigma)
+    lhs, rhs = err[kept] / mass[kept] ** (1.0 / q), radii[kept] ** alpha * avg[kept]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # A cube where both sides vanish is evaluated but offers nothing.
+        ratio = np.where(rhs == 0.0, np.where(lhs == 0.0, np.nan, np.inf), lhs / rhs)
     worst = _Worst(generator, cloud.depth)
-    evaluated = 0
-    sharp_by_name = dict(
-        zip((gf.name for gf in funcs), cache.sharp_values(cloud, funcs, alpha, 1.0, k))
-    )
-    for j in range(3 * samples):
-        if evaluated >= samples:
-            break
-        gf = funcs[j % len(funcs)]
-        cube = Cube(centers[j], float(radii[j]))
-        try:
-            res = best_approx(cloud, cube, gf, k, q)
-        except (TooFewPoints, RankDeficient):
-            continue
-        idx2, mass2 = restrict(cloud, cube.scaled(2.0))
-        sharp = sharp_by_name[gf.name][idx2]
-        avg = float(
-            (np.sum(cloud.weights[idx2] * sharp**sigma) / mass2) ** (1.0 / sigma)
-        )
-        rhs = cube.half_side**alpha * avg
-        evaluated += 1
-        if rhs == 0.0:
-            if res.normalized == 0.0:
-                continue
-            ratio = math.inf
-        else:
-            ratio = res.normalized / rhs
-        worst.offer(ratio, gf.name, f"alpha={alpha!r},q={q!r},t={float(radii[j])!r}")
-    return worst.value, worst.witnesses, evaluated
+    worst.offer_max(ratio, lambda i: (
+        funcs[fid[kept[i]]].name, f"alpha={alpha!r},q={q!r},t={float(radii[kept[i]])!r}"
+    ))
+    return worst.value, worst.witnesses, int(kept.size)
 
 
 def check_sharp_equivalence(
-    cloud: WeightedPointCloud,
-    funcs,
-    cache: MatrixCache,
-    generator: str = "?",
+    cloud: WeightedPointCloud, funcs, cache: MatrixCache, generator: str = "?"
 ):
     """Pointwise ordering of sharp maximal functions in the inner exponent.
 
@@ -483,11 +514,7 @@ def check_sharp_equivalence(
 
 
 def check_embedding_chain(
-    cloud: WeightedPointCloud,
-    funcs,
-    cache: MatrixCache,
-    alphas: tuple,
-    p: float,
+    cloud: WeightedPointCloud, funcs, cache: MatrixCache, alphas: tuple, p: float,
     generator: str = "?",
 ):
     """Scale-sum norms against the sharp maximal route, on shared matrices.
@@ -526,10 +553,7 @@ def check_embedding_chain(
 
 
 def check_sobolev_embedding(
-    cloud: WeightedPointCloud,
-    funcs,
-    cache: MatrixCache,
-    generator: str = "?",
+    cloud: WeightedPointCloud, funcs, cache: MatrixCache, generator: str = "?"
 ):
     """Estimated constant in the improved-exponent inequality.
 
@@ -557,39 +581,35 @@ def check_sobolev_embedding(
 
 
 def check_reverse_holder(
-    cloud: WeightedPointCloud,
-    rng: np.random.Generator,
-    trials: int,
-    window: tuple[float, float] | None = None,
-    generator: str = "?",
+    cloud: WeightedPointCloud, rng: np.random.Generator, trials: int,
+    window: tuple[float, float] | None = None, generator: str = "?",
 ):
-    """Worst average-L^q over average-L^u ratio of random polynomials."""
-    n, degree = cloud.ambient_dim, REVHOLDER_DEGREE
-    exps = np.asarray(multi_indices(n, degree), dtype=int)
-    centers, radii = _random_cubes(
-        cloud, rng, trials, *(window or _radius_window(cloud))
-    )
-    coeffs = rng.standard_normal((trials, exps.shape[0]))
+    """Worst average-L^q over average-L^u ratio of random polynomials.
 
+    Trial j draws a cube and a polynomial in its chart, evaluated once over
+    the cube's members in batches; the ratios take ``reverse_holder_ratio``'s
+    formulas and conventions, and an empty cube is skipped.
+    """
+    degree, width = REVHOLDER_DEGREE, len(REVHOLDER_PAIRS)
+    centers, radii = _random_cubes(cloud, rng, trials, *(window or _radius_window(cloud)))
+    coeffs = rng.standard_normal((trials, basis_size(cloud.ambient_dim, degree + 1)))
+    ratios = np.full((trials, width), np.nan)
+    cells = _cube_cells(cloud, np.empty((0, cloud.size)), degree + 1, centers, radii)
+    for at, (V, w, _, mass) in cells:
+        vals = np.abs((V @ coeffs[at, :, None])[..., 0])
+        for i, (q, u) in enumerate(REVHOLDER_PAIRS):
+            num, den = ((np.sum(w * vals**e, axis=1) / mass) ** (1.0 / e) for e in (q, u))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios[at, i] = np.where(den == 0.0, np.where(num > 0.0, np.inf, 1.0), num / den)
     worst = _Worst(generator, cloud.depth)
-    for j in range(trials):
-        cube = Cube(centers[j], float(radii[j]))
-        poly = Polynomial(n, degree, exps, coeffs[j], cube.center, cube.half_side)
-        for q, u in REVHOLDER_PAIRS:
-            try:
-                ratio = reverse_holder_ratio(cloud, cube, poly, q, u)
-            except EmptyCube:
-                continue
-            worst.offer(ratio, f"poly_deg{degree}", f"q={q!r},u={u!r},t={float(radii[j])!r}")
+    worst.offer_max(ratios.ravel(), lambda i: (
+        f"poly_deg{degree}",
+        "q={!r},u={!r},t={!r}".format(*REVHOLDER_PAIRS[i % width], float(radii[i // width])),
+    ))
     return worst.value, worst.witnesses
 
 
-def check_ahlfors(
-    cloud: WeightedPointCloud,
-    samples: int,
-    seed: int,
-    generator: str = "?",
-):
+def check_ahlfors(cloud: WeightedPointCloud, samples: int, seed: int, generator: str = "?"):
     """Spread between the extreme normalized ball masses."""
     lo, hi = _radius_window(cloud)
     scales = np.geomspace(lo, hi, AHLFORS_SCALES)
@@ -629,9 +649,7 @@ def _stability(families: dict) -> tuple[float, list[Witness], dict, int]:
             for a, b in zip(depths, depths[1:]):
                 ca, cb = by_depth[a], by_depth[b]
                 compared += 1
-                if not (
-                    math.isfinite(ca) and math.isfinite(cb) and ca > 0.0 and cb > 0.0
-                ):
+                if not (math.isfinite(ca) and math.isfinite(cb) and ca > 0.0 and cb > 0.0):
                     ratio = math.inf
                 else:
                     ratio = max(ca / cb, cb / ca)
@@ -660,26 +678,14 @@ def _observe(config, cache, gen_index, name, cloud, window, quota, funcs, checke
     ``evaluated`` counts the items behind ``value``. ``funcs`` is the whole
     battery, ``checked`` and ``sharp`` the configured subsets of it.
     """
-    worst, reg, wits, n = check_monotonicity(
-        cloud,
-        funcs,
-        _check_rng(config.seed, _TAG_MONO, gen_index),
-        quota,
-        window,
-        generator=name,
-    )
+    rng = _check_rng(config.seed, _TAG_MONO, gen_index)
+    worst, reg, wits, n, entered = check_monotonicity(cloud, funcs, rng, quota, window, name)
     yield "monotonicity", None, worst, wits, n
-    yield "monotonicity_regularity", "regularity", reg, [], n
+    yield "monotonicity_regularity", "regularity", reg, [], entered
 
-    worst, wits, n = check_poincare(
-        cloud,
-        checked,
-        cache,
-        _check_rng(config.seed, _TAG_POINCARE, gen_index),
-        config.poincare_samples,
-        window,
-        generator=name,
-    )
+    rng = _check_rng(config.seed, _TAG_POINCARE, gen_index)
+    samples = config.poincare_samples
+    worst, wits, n = check_poincare(cloud, checked, cache, rng, samples, window, name)
     yield "poincare_stability", "poincare", worst, wits, n
 
     left, right, wits = check_sharp_equivalence(cloud, sharp, cache, generator=name)
@@ -699,23 +705,15 @@ def _observe(config, cache, gen_index, name, cloud, window, quota, funcs, checke
     if sob is not None:
         yield "sobolev_stability", "sobolev", sob[0], sob[1], len(checked)
 
-    worst, wits = check_reverse_holder(
-        cloud,
-        _check_rng(config.seed, _TAG_REVHOLDER, gen_index),
-        config.revholder_trials,
-        window,
-        generator=name,
-    )
+    rng = _check_rng(config.seed, _TAG_REVHOLDER, gen_index)
+    worst, wits = check_reverse_holder(cloud, rng, config.revholder_trials, window, name)
     n = config.revholder_trials * len(REVHOLDER_PAIRS)
     yield "reverse_holder_stability", "reverse_holder", worst, wits, n
 
-    report, wit = check_ahlfors(
-        cloud,
-        config.ahlfors_samples,
-        config.seed + _TAG_AHLFORS + gen_index,
-        generator=name,
-    )
-    yield "ahlfors_ratio", None, report.ratio, [wit], 1
+    if config.ahlfors_samples:  # no centre drawn: nothing evaluated
+        seed = config.seed + _TAG_AHLFORS + gen_index
+        report, wit = check_ahlfors(cloud, config.ahlfors_samples, seed, name)
+        yield "ahlfors_ratio", None, report.ratio, [wit], 1
 
 
 def run_all(config: RunConfig) -> list[CheckResult]:
@@ -740,7 +738,7 @@ def run_all(config: RunConfig) -> list[CheckResult]:
     if unknown:
         raise OutOfRange(f"unknown function names in {'; '.join(unknown)}")
 
-    quota = max(1, -(-config.mono_pairs // len(clouds)))
+    quota = -(-config.mono_pairs // len(clouds))
     # Cube radii of every depth of a generator come from its coarsest cloud.
     windows: dict[int, tuple[float, float]] = {}
     cache = MatrixCache()

@@ -225,6 +225,36 @@ class TestVerify:
         assert err.count("error:") == 1 and field in err
         assert not (tmp_path / "verdict.txt").exists()
 
+    @pytest.mark.parametrize(
+        "field", ["mono_pairs", "poincare_samples", "revholder_trials", "ahlfors_samples"]
+    )
+    def test_negative_count_fails_cleanly(self, tmp_path, capsys, field):
+        cfg = write_config(tmp_path, {"generators": [["interval", [6]]], field: -3})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and field in err and ">= 0" in err
+        assert not (tmp_path / "verdict.txt").exists()
+
+    def test_no_monotonicity_pairs_is_not_evaluated(self, tmp_path):
+        cfg = write_config(tmp_path, dict(SMALL_VERIFY, mono_pairs=0))
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "verdict.txt").read_text().splitlines()
+        assert "monotonicity: NOT EVALUATED (nothing evaluated)" in lines
+        assert (
+            "monotonicity_regularity: NOT EVALUATED "
+            "(no generator with two evaluated depths)"
+        ) in lines
+        assert sum(line.endswith(" PASS") for line in lines) == 8
+        assert "monotonicity" not in (tmp_path / "verify.csv").read_text()
+
+    def test_default_run_writes_plain_floats(self, tmp_path):
+        # numpy 2 writes repr(np.float64(x)) as np.float64(x); every value
+        # reaching a witness must be a Python float.
+        assert main(["verify", "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "verify.csv").read_text()
+        assert "np." not in text and "float64" not in text
+        assert sum(line.endswith(" PASS") for line in (tmp_path / "verdict.txt").read_text().splitlines()) == 10
+
     def test_check_parameter_key_fails_at_once(self, tmp_path, capsys):
         # The checks' parameters are constants; a config naming one is refused
         # before any cloud is built.

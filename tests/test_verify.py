@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 import frakspace as fs
+import reference_checks
+from conftest import synthetic_cloud
 from frakspace import verify
+from frakspace.polyapprox import CLAMP_REL
+from test_maximal import GAPPED_IFS
 
 
 SMALL_CONFIG = {
@@ -141,10 +145,11 @@ class TestRunConfig:
 class TestSingleChecks:
     def test_monotonicity_within_budget(self, dust3):
         funcs = [fs.sample(tf, dust3) for tf in fs.battery(dust3)[:6]]
-        worst, regularity, wits, evaluated = fs.check_monotonicity(
+        worst, regularity, wits, evaluated, entered = fs.check_monotonicity(
             dust3, funcs, np.random.default_rng(1), pairs=40
         )
         assert evaluated >= 40
+        assert 0 < entered <= evaluated
         assert worst <= 1.0 + 1e-6
         assert regularity >= 1.0
         assert all(isinstance(w, fs.Witness) for w in wits)
@@ -290,10 +295,30 @@ class TestRunAll:
             counts["unconverged"] += int(np.count_nonzero(~out[3]))
             return out
 
-        for module in (fs.polyapprox, fs.maximal, fs.norms):
+        for module in (fs.polyapprox, fs.maximal, fs.norms, fs.verify):
             monkeypatch.setattr(module, "_local_errors", counting)
         fs.run_all(fs.RunConfig())
         assert counts["fits"] > 0 and counts["unconverged"] == 0
+
+    def test_checks_fit_no_cube_one_at_a_time(self, monkeypatch):
+        calls = []
+        for name in ("best_approx", "restrict", "reverse_holder_ratio"):
+            one = getattr(verify, name)
+            monkeypatch.setattr(verify, name, lambda *a, one=one: calls.append(a) or one(*a))
+        fs.run_all(fs.RunConfig.from_dict(SMALL_CONFIG))
+        assert calls == []
+
+    def test_regularity_on_no_draw_is_not_evaluated(self):
+        # Each cloud's one draw falls on const_one, whose errors are 0, so no
+        # draw enters the regularity maximum: no depth takes part, where its
+        # constant 0.0 once failed the run as an infinite drift.
+        cfg = fs.RunConfig.from_dict({"generators": [["interval", [8, 10]]], "mono_pairs": 2})
+        results = {r.check_name: r for r in fs.run_all(cfg)}
+        regularity = results["monotonicity_regularity"]
+        assert regularity.evaluated == 0 and np.isnan(regularity.worst_constant)
+        assert regularity.witnesses == ()
+        assert results["monotonicity"].evaluated == 2
+        assert all(r.passed for r in results.values() if r.evaluated)
 
     def test_single_depth_leaves_stability_not_evaluated(self):
         cfg = fs.RunConfig.from_dict(
@@ -320,3 +345,116 @@ class TestRunAll:
         by_name = {r.check_name: r for r in results}
         assert not by_name["ahlfors_ratio"].passed
         assert any(r.passed for r in results)
+
+
+def line_and_block():
+    """A 2-D cloud where small cubes hold too few points for k = 2 and cubes
+    on its segment are rank deficient there."""
+    line = np.stack([np.linspace(0.0, 1.0, 48), np.zeros(48)], axis=1)
+    grid = np.linspace(0.0, 0.3, 6)
+    block = np.stack(np.meshgrid(0.6 + grid, 0.5 + grid), axis=-1).reshape(-1, 2)
+    return synthetic_cloud(np.vstack([line, block]), depth=6, name="line_and_block")
+
+
+# The SMALL_CONFIG clouds, square d3 and the gapped IFS d4, each with its own
+# window, and a cloud with a window where many draws cannot be fitted.
+PINNED_CLOUDS = [
+    *((name, depth, None) for name, depth in
+      [("cantor4", 2), ("cantor4", 3), ("interval", 5), ("interval", 6), ("square", 3)]),
+    ("gapped", 4, None),
+    ("line_and_block", 0, (0.02, 0.3)),
+]
+
+
+def pinned_cloud(name, depth):
+    if name == "line_and_block":
+        return line_and_block()
+    return fs.build_cloud(GAPPED_IFS if name == "gapped" else fs.generator_spec(name), depth)
+
+
+def assert_same_outcome(got, want, scale):
+    """Same witnesses and counts; constants within 1e-12 relative, plus the
+    clamp floor of the functions' size."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, list):
+            assert [(w.function, w.params) for w in a] == [(w.function, w.params) for w in b]
+            assert all(type(w.value) is float for w in a)
+        elif isinstance(b, int):
+            assert a == b
+        else:
+            assert type(a) is float
+            assert abs(a - b) <= 1e-12 * abs(b) + 2.0 * CLAMP_REL * scale, (a, b)
+
+
+class TestBatchedChecksMatchLoops:
+    """The batched checks against the per-cube loops they replaced."""
+
+    @pytest.mark.parametrize("name,depth", [("interval", 5), ("square", 3), ("gapped", 4)])
+    def test_cube_members_are_restricts(self, name, depth):
+        # Half-sides equal to exact Chebyshev distances between cloud points
+        # put points on the faces, where the closed test must admit them.
+        cloud = pinned_cloud(name, depth)
+        rng = np.random.default_rng(5)
+        centres = cloud.points[rng.integers(cloud.size, size=40)]
+        halves = np.abs(cloud.points[rng.integers(cloud.size, size=40)] - centres).max(axis=1)
+        halves = np.where(halves > 0.0, halves, 0.1)
+        index = np.arange(cloud.size, dtype=float)[None]
+        seen = []
+        for at, (_, w, f, mass) in fs.rankspace._cube_cells(cloud, index, 1, centres, halves):
+            for c, row, m in zip(at, f[0], mass):
+                idx, want = fs.restrict(cloud, fs.Cube(centres[c], float(halves[c])))
+                assert np.array_equal(row[: idx.size], idx) and not row[idx.size :].any()
+                assert m == pytest.approx(want, rel=1e-14)
+                seen.append(c)
+        assert sorted(seen) == list(range(40))
+
+    @pytest.mark.parametrize("name,depth,window", PINNED_CLOUDS)
+    def test_monotonicity(self, name, depth, window, monkeypatch):
+        cloud = pinned_cloud(name, depth)
+        funcs = [fs.sample(tf, cloud) for tf in fs.battery(cloud)]
+        scale = max(float(np.abs(gf.values).max()) for gf in funcs)
+        raised = []
+        fit = reference_checks.best_approx
+
+        def recording(*args):
+            try:
+                return fit(*args)
+            except (fs.TooFewPoints, fs.RankDeficient) as exc:
+                raised.append(type(exc))
+                raise
+
+        monkeypatch.setattr(reference_checks, "best_approx", recording)
+        for seed in (0, 1):
+            want = reference_checks.check_monotonicity(
+                cloud, funcs, np.random.default_rng(seed), 24, window, name
+            )
+            got = fs.check_monotonicity(cloud, funcs, np.random.default_rng(seed), 24, window, name)
+            assert_same_outcome(got[:4], want, scale)
+            assert 0 <= got[4] <= got[3]
+        if window is not None:  # some draws were skipped, and enough kept
+            assert {fs.TooFewPoints, fs.RankDeficient} <= set(raised)
+            assert got[3] == 24
+
+    @pytest.mark.parametrize("name,depth,window", PINNED_CLOUDS)
+    def test_poincare(self, name, depth, window):
+        cloud = pinned_cloud(name, depth)
+        funcs = [fs.sample(tf, cloud) for tf in fs.battery(cloud)][::3]
+        scale = max(float(np.abs(gf.values).max()) for gf in funcs)
+        cache = fs.MatrixCache()
+        for seed in (0, 1):
+            want = reference_checks.check_poincare(
+                cloud, funcs, cache, np.random.default_rng(seed), 12, window, name
+            )
+            got = fs.check_poincare(cloud, funcs, cache, np.random.default_rng(seed), 12, window, name)
+            assert_same_outcome(got, want, scale)
+
+    @pytest.mark.parametrize("name,depth,window", PINNED_CLOUDS)
+    def test_reverse_holder(self, name, depth, window):
+        cloud = pinned_cloud(name, depth)
+        for seed in (0, 1):
+            want = reference_checks.check_reverse_holder(
+                cloud, np.random.default_rng(seed), 24, window, name
+            )
+            got = fs.check_reverse_holder(cloud, np.random.default_rng(seed), 24, window, name)
+            assert_same_outcome(got, want, 0.0)
