@@ -121,8 +121,8 @@ def _cmd_verify(args) -> int:
             config = RunConfig.from_dict(json.load(fh))
     else:
         config = RunConfig()
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    if args.seed is not None:  # checked as the config's own seed is
+        config = dataclasses.replace(config, seed=RunConfig.from_dict({"seed": args.seed}).seed)
     results = run_all(config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

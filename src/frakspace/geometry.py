@@ -3,13 +3,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import OutOfRange
-from .measure import WeightedPointCloud
+
+if TYPE_CHECKING:
+    from .measure import WeightedPointCloud
 
 __all__ = ["Cube", "Net", "restrict", "dyadic_net"]
+
+
+def _chebyshev(points: np.ndarray, centre: np.ndarray) -> np.ndarray:
+    """Distances max_a |p_a - c_a| of ``points`` [N, n] to one centre [n],
+    shape [N], or to each of centres [C, n], shape [C, N]."""
+    c = centre.T[..., None] if centre.ndim > 1 else centre
+    # Axis by axis: numpy reduces a short trailing axis slowly.
+    dist = np.abs(points[:, 0] - c[0])
+    for axis in range(1, points.shape[1]):
+        np.maximum(dist, np.abs(points[:, axis] - c[axis]), out=dist)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -40,11 +54,7 @@ class Cube:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.ambient_dim:
             raise OutOfRange("point dimension mismatch")
-        # Axis by axis: numpy reduces a short trailing axis slowly.
-        dist = np.abs(pts[:, 0] - self.center[0])
-        for axis in range(1, self.ambient_dim):
-            np.maximum(dist, np.abs(pts[:, axis] - self.center[axis]), out=dist)
-        return dist <= self.half_side
+        return _chebyshev(pts, self.center) <= self.half_side
 
     def scaled(self, factor: float) -> "Cube":
         """Concentric cube with half_side multiplied by ``factor``."""

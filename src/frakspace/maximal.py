@@ -45,6 +45,7 @@ from .polyapprox import (  # noqa: F401
     CLAMP_REL,
     RANK_RTOL_SV,
     _local_errors,
+    _weighted_mean,
     basis_size,
     fit_in_span,
     point_quota,
@@ -507,7 +508,7 @@ def hl_maximal(
                 own, w = padded[idx[under]], wts[idx[under]]
                 peak = own.max(axis=1)
                 ratio = own / np.where(peak > 0.0, peak, 1.0)[:, None]
-                low[centres[under]] = peak * ((w * ratio**sigma).sum(axis=1) / w.sum(axis=1)) ** (1.0 / sigma)
+                low[centres[under]] = peak * _weighted_mean(ratio, w, sigma, w.sum(axis=1))
                 average[j, centres[under]] = 0.0
         np.maximum(best, average[j, first], out=best)
         np.maximum(floor, low[first], out=floor)

@@ -20,6 +20,7 @@ from .errors import (
     ScaleTooFine,
     UnknownGenerator,
 )
+from .geometry import _chebyshev
 
 __all__ = [
     "IfsSpec",
@@ -311,7 +312,7 @@ def ahlfors_constants(
     lo = math.inf
     hi = -math.inf
     for i in idx:
-        dx = np.max(np.abs(pts - pts[i]), axis=1)
+        dx = _chebyshev(pts, pts[i])
         for r in scales:
             mass = float(wts[dx <= r].sum())
             ratio = mass / r**cloud.s

@@ -24,7 +24,7 @@ from .maximal import ScaleGrid, approx_error_matrix, degree_for_flat, sharp_maxi
 from .measure import WeightedPointCloud
 # The net route never calls fit_in_span; it stays importable here only
 # because bench/layers.py wraps it by name at this module too.
-from .polyapprox import RANK_RTOL_SV, _local_errors, fit_in_span  # noqa: F401
+from .polyapprox import RANK_RTOL_SV, _local_errors, _weighted_mean, _weighted_norm, fit_in_span  # noqa: F401
 from .rankspace import _fit_batches, _padded_batches
 
 __all__ = [
@@ -42,10 +42,7 @@ def lp_norm(cloud: WeightedPointCloud, f, p: float) -> float:
     """(sum_i w_i |f_i|**p)**(1/p); max |f_i| for p = inf."""
     if not 1.0 <= p:
         raise OutOfRange(f"p must lie in [1, inf], got {p}")
-    values = cloud.values_of(f)
-    if p == math.inf:
-        return float(np.max(np.abs(values)))
-    return float(np.sum(cloud.weights * np.abs(values) ** p) ** (1.0 / p))
+    return _weighted_norm(cloud.values_of(f), cloud.weights, p)
 
 
 @dataclass(frozen=True)
@@ -78,12 +75,7 @@ class NormReport:
 def _column_lp(matrix: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
     """Per-scale L^p norms of the error matrix, ignoring NaN cells."""
     ok = ~np.isnan(matrix)
-    if p == math.inf:
-        filled = np.where(ok, np.abs(matrix), -np.inf)
-        out = filled.max(axis=0)
-        return np.where(np.isfinite(out), out, np.nan)
-    vals = np.where(ok, np.abs(matrix), 0.0) ** p
-    out = (weights[:, None] * vals).sum(axis=0) ** (1.0 / p)
+    out = _weighted_mean(np.where(ok, np.abs(matrix), 0.0), weights[:, None], p, 1.0, axis=0)
     out[~ok.any(axis=0)] = np.nan
     return out
 
@@ -145,8 +137,7 @@ def besov_norm(
     given explicitly, since sup-norm polynomial fitting is out of scope.
     """
     k = degree_for_flat(alpha)
-    if not 1.0 <= p:
-        raise OutOfRange(f"p must lie in [1, inf], got {p}")
+    lp = lp_norm(cloud, f, p)  # and its check of p
     if not 1.0 <= q:
         raise OutOfRange(f"q must lie in [1, inf], got {q}")
     if u is None:
@@ -158,12 +149,7 @@ def besov_norm(
     grid = ScaleGrid.or_default(cloud, grid)
     raw = scale_profile(cloud, f, k, u, p, grid)
     weighted = raw * grid.scales**-alpha
-    finite = weighted[~np.isnan(weighted)]
-    if q == math.inf:
-        seminorm = float(np.max(finite)) if finite.size else 0.0
-    else:
-        seminorm = float(np.sum(finite**q) ** (1.0 / q))
-    lp = lp_norm(cloud, f, p)
+    seminorm = _weighted_norm(weighted[~np.isnan(weighted)], 1.0, q)
     per_scale = tuple(
         (int(nu), float(r))
         for nu, r in zip(grid.levels, raw)
@@ -237,15 +223,10 @@ def besov_net_norm(
         budget, batch = _fit_batches(cloud, cloud.values_of(f)[None], k)
         for i, (net, group) in enumerate(zip(nets, groups)):
             errors, stopped = _net_errors(cloud, net, budget, batch, p, group)
-            terms[i] = weights[i] * float(np.sum(errors**p) ** (1.0 / p))
+            terms[i] = weights[i] * _weighted_norm(errors, 1.0, p)
             unconverged += stopped
-    terms_arr = np.asarray(terms)
-    if q == math.inf:
-        seminorm = float(terms_arr.max())
-    else:
-        seminorm = float(np.sum(terms_arr**q) ** (1.0 / q))
     return NetBesovResult(
-        seminorm=seminorm,
+        seminorm=_weighted_norm(np.asarray(terms), 1.0, q),
         levels=tuple(levels),
         per_level=tuple(terms),
         unconverged=unconverged,
@@ -272,8 +253,6 @@ def _net_errors(cloud: WeightedPointCloud, net: Net, budget: int, batch, p: floa
     rank share one call.
     """
     cells, order, starts, counts = occupied or _occupied(net.assign(cloud.points))
-    by_size = np.argsort(-counts, kind="stable")
-    starts, counts = starts[by_size], counts[by_size]
     labels = cells[order[starts]]
     out, unconverged = np.empty(starts.size), 0
     for part, idx in _padded_batches(np.append(order, cloud.size), starts, counts, budget):
@@ -289,6 +268,6 @@ def _net_errors(cloud: WeightedPointCloud, net: Net, budget: int, batch, p: floa
                 span = V[group] @ np.swapaxes(vt[rank == r, :r], 1, 2)
                 fit = _local_errors(span, w[group], f[:, group], p, mass[group])
                 err[group], converged[group] = fit[0][0], fit[3][0]
-        out[by_size[part]] = err
+        out[part] = err
         unconverged += int(np.count_nonzero(~converged))
     return out, unconverged

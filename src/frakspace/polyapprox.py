@@ -188,10 +188,19 @@ def monomial_matrix(points: np.ndarray, cube: Cube, k: int) -> tuple[np.ndarray,
     return _vandermonde(z, exps), exps
 
 
-def _weighted_norm(values: np.ndarray, weights: np.ndarray, u: float) -> float:
-    if u == math.inf:
-        return float(np.max(np.abs(values))) if values.size else 0.0
-    return float(np.sum(weights * np.abs(values) ** u) ** (1.0 / u))
+def _weighted_mean(values: np.ndarray, weights, e: float, mass, axis: int = -1) -> np.ndarray:
+    """(sum w v**e / mass)**(1/e) of ``values`` >= 0 along ``axis``, their
+    largest for e = inf: the L^e average, or with mass 1 the L^e norm."""
+    if e == math.inf:
+        return values.max(axis=axis)
+    return (np.sum(weights * values**e, axis=axis) / mass) ** (1.0 / e)
+
+
+def _weighted_norm(values: np.ndarray, weights, u: float) -> float:
+    """(sum w |v|**u)**(1/u), max |v| for u = inf (0 over no values)."""
+    if u == math.inf and not values.size:
+        return 0.0
+    return float(_weighted_mean(np.abs(values), weights, u, 1.0))
 
 
 def fit_in_span(
@@ -262,14 +271,21 @@ def _local_errors(V, w, f, u, mass):
         size, unit = np.abs(resid), 1.0
         if u != 1.0:  # in units of the largest residual, where no power overflows
             unit = size.max(axis=2)
-            size = (size / np.where(unit > 0.0, unit, 1.0)[..., None]) ** u
+            rel = size / np.where(unit > 0.0, unit, 1.0)[..., None]
+            size = rel**u
         value = unit * np.einsum("lw,flw->fl", w, size) ** (1.0 / u)
         # Pairs that least squares already fits to the clamp floor are settled.
         act = np.flatnonzero(~deficient & (value > floor))
+        # The fitters take the rows of the pairs ``act`` (function p // L on
+        # cell p % L) and write what they fit into these, flat over pairs.
+        out = value.ravel(), coef.reshape(value.size, -1), *_closed_form(value.ravel())
+        cells, width = act % V.shape[0], f.shape[2]
+        pairs = V[cells], w[cells], f.reshape(-1, width)[act], resid.reshape(-1, width)[act]
         if u == 1.0:
-            value, coef, iters, converged = _l1_vertices(V, w, f, coef, resid, value, act)
+            _l1_vertices(*pairs, act, *out)
         else:
-            value, coef, iters, converged = _irls(V, w, f, u, coef, resid, value, act)
+            _irls(*pairs, rel.reshape(-1, width)[act], u, act, *out)
+        value, coef, iters, converged = (x.reshape(f.shape[:2] + x.shape[1:]) for x in out)
     value = np.where(value <= floor, 0.0, value)
     if np.count_nonzero(deficient):
         value[:, deficient] = np.where(scale[:, deficient] > 0.0, np.nan, 0.0)
@@ -417,7 +433,7 @@ def _newton_errors(d, w, u):
     )
 
 
-def _l1_vertices(V, w, f, coef, resid, value, act):
+def _l1_vertices(Va, wa, fa, ra, act, value, coef, iters, converged):
     """Exact weighted L1 fits of every (function, cell) pair by vertex exchange.
 
     The simplex of Barrodale & Roberts (1973). A vertex c interpolates the d
@@ -432,16 +448,11 @@ def _l1_vertices(V, w, f, coef, resid, value, act):
     rounded zero residual takes its side and order from the residual rho of
     xi, and c moves only on steps of nonzero length, so no basis recurs. A
     pair cut off by EXCHANGE_MAX_PIVOTS reports its last vertex, unconverged.
-    Fits the pairs ``act`` (function p // L on cell p % L); the rest keep
-    ``value``. Returns (errors, coefficients, pivots, converged).
+    Fits the pairs ``act`` from their rows of V, w, f and the least-squares
+    residual, writing their errors, coefficients, pivots and converged flags
+    into ``value``, ``coef``, ``iters`` and ``converged``, flat over pairs.
     """
-    nfun, ncell, width = f.shape
-    pairs, d = nfun * ncell, V.shape[2]
-    value, coef = value.ravel(), coef.reshape(pairs, d)
-    iters, converged = np.zeros(pairs, int), np.ones(pairs, bool)
-    wa = w[act % ncell]
-    Va = V[act % ncell]
-    fa, cost = f.reshape(pairs, width)[act], np.abs(resid.reshape(pairs, width)[act])
+    (width, d), cost = Va.shape[1:], np.abs(ra)
     # A lone pair drops the pair axis and its index prefix p1 is empty, so
     # that every index below is a plain one on short vectors.
     p1, pc = (np.arange(act.size),), (np.arange(act.size)[:, None],)
@@ -504,10 +515,9 @@ def _l1_vertices(V, w, f, coef, resid, value, act):
         h[p1 + (j,)] -= 1.0 / M[p1 + (enter, j)]
         Ainv -= Ainv[p1 + (Ellipsis, j)][..., :, None] * h[..., None, :]
         basis[p1 + (j,)] = enter
-    return tuple(x.reshape(f.shape[:2] + x.shape[1:]) for x in (value, coef, iters, converged))
 
 
-def _irls(V, w, f, u, coef, resid, value, act):
+def _irls(Va, wa, fa, r, a, u, act, value, coef, iters, converged):
     """Reweighted least squares on the pairs ``act``, stopped by a duality gap.
 
     Serves k >= 2 with u not in {1, 2}. At an iterate c with residual r, let
@@ -518,19 +528,13 @@ def _irls(V, w, f, u, coef, resid, value, act):
     lam.r / ||lam w**(-1/u)||_u' bounds the minimum from below. A pair stops
     at the first iterate whose error E exceeds the last step's bound by at
     most DEFAULT_RTOL E, or unconverged where it is after DEFAULT_MAX_ITER
-    steps, a singular Gram matrix or a bound that is not a number; the rest
-    keep ``value``. Errors are summed over f - V c as ``_weighted_norm`` does,
-    or in units of max|r| where that sum leaves the normal range. Returns
-    (errors, coefficients, steps, converged).
+    steps, a singular Gram matrix or a bound that is not a number. Errors are
+    summed over f - V c as ``_weighted_norm`` does, or in units of max|r|
+    where that sum leaves the normal range. Takes the rows of the pairs
+    ``act`` as ``_l1_vertices`` does, with ``a`` = |r| / max|r|, starts from
+    least squares' ``coef`` and writes into its arrays as it does.
     """
-    nfun, ncell, width = f.shape
-    pairs, d = nfun * ncell, V.shape[2]
-    value, coef = value.ravel(), coef.reshape(pairs, d)
-    iters, converged = np.zeros(pairs, int), np.ones(pairs, bool)
-    cells = act % ncell
-    fa, wa, Va, ca = f.reshape(pairs, width)[act], w[cells], V[cells], coef[act]
-    r = resid.reshape(pairs, width)[act]
-    a = np.abs(r) / np.abs(r).max(axis=1, keepdims=True)
+    d, ca = Va.shape[2], coef[act]
     VaT = np.ascontiguousarray(np.swapaxes(Va, 1, 2))
     conj = u / (u - 1.0)
     # The certificate's powers act on |r| / max|r| and |lam| / max|lam|, so
@@ -575,7 +579,6 @@ def _irls(V, w, f, u, coef, resid, value, act):
                     break
                 keep = ~stop
                 act, fa, wa, Va, VaT, ca, r, a = (x[keep] for x in (act, fa, wa, Va, VaT, ca, r, a))
-    return tuple(x.reshape(f.shape[:2] + x.shape[1:]) for x in (value, coef, iters, converged))
 
 
 @dataclass(frozen=True)
@@ -759,10 +762,7 @@ def reverse_holder_ratio(
         raise EmptyCube("cube contains no cloud points")
     vals = np.abs(poly.evaluate(cloud.points[idx]))
     w = cloud.weights[idx]
-    num, den = (  # the L^inf average is the largest value, as in _weighted_norm
-        float(vals.max() if e == math.inf else (np.sum(w * vals**e) / mass) ** (1.0 / e))
-        for e in (q, u)
-    )
+    num, den = float(_weighted_mean(vals, w, q, mass)), float(_weighted_mean(vals, w, u, mass))
     if den == 0.0:
         return math.inf if num > 0.0 else 1.0
     return num / den

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _chebyshev
 from .measure import WeightedPointCloud
 from .polyapprox import _vandermonde, multi_indices
 
@@ -77,19 +78,22 @@ def _rank_grid(cloud: WeightedPointCloud) -> _RankGrid:
 
 
 def _padded_batches(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray, budget: int):
-    """The slices flat[starts[c] : starts[c] + lengths[c]] as padded batches.
+    """The slices flat[starts[c] : starts[c] + lengths[c]] as padded batches,
+    longest first.
 
-    ``lengths`` must not increase, and ``flat[-1]`` must be the padding
-    index N. Yields (part, idx): row r of idx[L, W] holds slice part[r],
-    padded to the width W of the batch's first slice, with L * W <= budget
-    unless L = 1.
+    ``lengths`` (each >= 1) may come in any order; a stable sort keeps equal
+    lengths in theirs. ``flat[-1]`` must be the padding index N. Yields
+    (part, idx): row r of idx[L, W] holds slice part[r], padded to the width
+    W of the batch's longest slice, with L * W <= budget unless L = 1.
     """
+    order = np.argsort(-lengths, kind="stable")
+    starts, lengths = starts[order], lengths[order]
     done = 0
-    while done < starts.size:
-        end = min(starts.size, done + max(1, budget // int(lengths[done])))
+    while done < order.size:
+        end = min(order.size, done + max(1, budget // int(lengths[done])))
         col = np.arange(lengths[done])
         idx = flat[np.where(col < lengths[done:end, None], starts[done:end, None] + col, -1)]
-        yield slice(done, end), idx
+        yield order[done:end], idx
         done = end
 
 
@@ -118,7 +122,6 @@ def _cubes(rank: _RankGrid, scales: np.ndarray, quota: int, budget: int, settle=
         # and its first cube sets its width.
         for run_axis in range(n):
             on = centres[axis[centres] == run_axis]
-            on = on[np.argsort(-lengths[on], kind="stable")]
             for part, idx in _padded_batches(ranked, starts[on], lengths[on], budget):
                 c = on[part]
                 if n > 1:  # in 1-D the run is the cube
@@ -362,15 +365,11 @@ def _cube_cells(
     budget, batch = _fit_batches(cloud, values, k, rows is not None)
     step = max(1, CHUNK_ELEMS // size)
     for start in range(0, len(centres), step):
-        c = centres[start : start + step]
-        dist = np.abs(pts[:, 0] - c[:, :1])
-        for axis in range(1, pts.shape[1]):
-            np.maximum(dist, np.abs(pts[:, axis] - c[:, axis, None]), out=dist)
+        dist = _chebyshev(pts, centres[start : start + step])
         cube, member = np.nonzero(dist <= halves[start : start + step, None])
-        count = np.bincount(cube, minlength=len(c))
-        order = np.argsort(-count, kind="stable")
-        order = order[count[order] >= least]
+        count = np.bincount(cube, minlength=len(dist))
         starts = count.cumsum() - count
-        for part, idx in _padded_batches(np.append(member, size), starts[order], count[order], budget):
-            at = start + order[part]
+        held = np.flatnonzero(count >= least)
+        for part, idx in _padded_batches(np.append(member, size), starts[held], count[held], budget):
+            at = start + held[part]
             yield at, batch(idx, origins[at], sides[at, None, None], None if rows is None else rows[at])

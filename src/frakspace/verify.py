@@ -25,8 +25,9 @@ one ``best_approx`` call per cube. ``_observe`` then calls each
 evaluated); ``label`` is None for a direct check and names the constant
 family of a stability check. One reduction follows: the worst value of each
 direct check, ``_stability`` for each stability check. An observation that
-evaluated nothing takes no part in a verdict; a check left with none is NOT
-EVALUATED (``evaluated == 0``).
+evaluated nothing takes no part in a verdict, nor does a stability constant
+of 0.0, a largest ratio over no item (or over degenerate ones only, of
+zero local error). A check left with none is NOT EVALUATED.
 """
 from __future__ import annotations
 
@@ -58,6 +59,8 @@ from .measure import (
 from .norms import _column_lp, lp_norm
 from .polyapprox import (  # noqa: F401
     _local_errors,
+    _weighted_mean,
+    _weighted_norm,
     basis_size,
     best_approx,
     point_quota,
@@ -170,6 +173,12 @@ class _Worst:
             self.offer(float(values[i]), *describe(i))
 
 
+def _ratio(num, den):
+    """num / den, where x / 0 is inf for x > 0 and 0 / 0 is 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, 1.0))
+
+
 def poincare_sigma(q: float, alpha: float, s: float) -> float:
     """Inner exponent sigma with 1/sigma = 1/q + alpha/s."""
     if not (q >= 1.0 and alpha > 0.0 and s > 0.0):
@@ -280,9 +289,23 @@ class RunConfig:
                 kwargs[name] = _conform(value, like)
             except (TypeError, ValueError) as exc:
                 raise OutOfRange(f"config field {name!r}: {exc}") from None
+        generators = kwargs.get("generators", cls.generators)
+        if not generators:
+            raise OutOfRange("config field 'generators': names no cloud")
+        # One generator's depths share its seed stream and radius window, so
+        # their constants are comparable only as one entry, of distinct depths.
+        names = [gen for gen, _ in generators]
+        for gen, depths in generators:
+            if names.count(gen) > 1 or not depths or len(set(depths)) < len(depths):
+                raise OutOfRange(
+                    f"config field 'generators': {gen!r} needs one entry of distinct depths, one at least"
+                )
         return cls(**kwargs)
 
     def budgets(self) -> dict[str, float]:
+        unknown = sorted({name for name, _ in self.budget_overrides} - set(DEFAULT_BUDGETS))
+        if unknown:
+            raise OutOfRange(f"unknown budget names: {unknown}; known: {sorted(DEFAULT_BUDGETS)}")
         out = dict(DEFAULT_BUDGETS)
         out.update({k: float(v) for k, v in self.budget_overrides})
         return out
@@ -380,10 +403,11 @@ def check_monotonicity(
     ``pairs`` draws where ``best_approx`` fits both count, each round fitting
     both cubes of each (k, u) in one pass (``_first_evaluated``). The inner
     error is the smaller of the inner fit's and the outer minimizer's there.
-    Returns (worst_ratio, regularity_constant, witnesses, evaluated, entered):
-    the regularity constant, the worst ratio of measure-normalized errors over
-    the ``entered`` draws where both are positive, is only controlled by the
-    doubling of the measure and is tracked for depth stability.
+    Returns (worst_ratio, regularity_constant, witnesses, evaluated): the
+    regularity constant, the worst ratio of measure-normalized errors over
+    the draws where both are positive (0.0 if there are none), is only
+    controlled by the doubling of the measure and is tracked for depth
+    stability.
     """
     lo, hi = window or _radius_window(cloud)
     draws = 3 * pairs
@@ -411,15 +435,15 @@ def check_monotonicity(
             cells = inner_c[on], inner_r[on], 1, fid[on], (centers[on], outer_r[on])
             for at, (V, w, f, _) in _cube_cells(cloud, values, k, *cells):
                 resid = f[0] - (c[at] if V is None else (V @ c[at, :, None])[..., 0])
-                candidate[on[at]] = np.sum(w * np.abs(resid) ** u, axis=1) ** (1.0 / u)
+                candidate[on[at]] = _weighted_mean(np.abs(resid), w, u, 1.0)
         return ~np.isnan(err[:, js]).any(axis=0)
 
     kept = _first_evaluated(draws, pairs, fit)
     out, inner = err[0, kept], np.minimum(err[1, kept], candidate[kept])
     u = us[kept]
     both = (inner > 0.0) & (out > 0.0)
+    ratio = _ratio(inner, out)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(out > 0.0, inner / out, np.where(inner > 0.0, np.inf, 1.0))
         reg = (inner / mass[1, kept] ** (1.0 / u)) / (out / mass[0, kept] ** (1.0 / u))
     regularity = float(reg[both].max()) if both.any() else 0.0
 
@@ -430,7 +454,7 @@ def check_monotonicity(
 
     worst = _Worst(generator, cloud.depth)
     worst.offer_max(ratio, describe)
-    return worst.value, regularity, worst.witnesses, int(kept.size), int(both.sum())
+    return worst.value, regularity, worst.witnesses, int(kept.size)
 
 
 def check_poincare(
@@ -466,7 +490,7 @@ def check_poincare(
     avg = np.zeros(draws)
     doubled = centers[kept], 2.0 * radii[kept], 1, fid[kept]
     for at, (_, w, s, m) in _cube_cells(cloud, sharp, 1, *doubled):
-        avg[kept[at]] = (np.sum(w * s[0] ** sigma, axis=1) / m) ** (1.0 / sigma)
+        avg[kept[at]] = _weighted_mean(s[0], w, sigma, m)
     lhs, rhs = err[kept] / mass[kept] ** (1.0 / q), radii[kept] ** alpha * avg[kept]
     with np.errstate(divide="ignore", invalid="ignore"):
         # A cube where both sides vanish is evaluated but offers nothing.
@@ -500,10 +524,7 @@ def check_sharp_equivalence(
         for u_lo, u_hi in zip(SHARP_EXPONENTS, SHARP_EXPONENTS[1:]):
             v_lo = values[(gf.name, u_lo)]
             v_hi = values[(gf.name, u_hi)]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(
-                    v_hi > 0.0, v_lo / v_hi, np.where(v_lo > 0.0, np.inf, 1.0)
-                )
+            ratios = _ratio(v_lo, v_hi)
             params = f"alpha={alpha!r},u_lo={u_lo!r},u_hi={u_hi!r}"
             left.offer(float(ratios.max()), gf.name, params)
             hi_norm = lp_norm(cloud, v_hi, SHARP_NORM_P)
@@ -544,7 +565,7 @@ def check_embedding_chain(
             perscale.offer(worst_col, gf.name, f"alpha={alpha!r},p={p!r}")
             lp = lp_norm(cloud, gf, p)
             if finite.size and sharp_lp > 0.0:
-                sum_norm = float(np.sum(finite**p) ** (1.0 / p))
+                sum_norm = _weighted_norm(finite, 1.0, p)
                 r1_constant = max(r1_constant, (lp + sharp_lp) / (lp + sum_norm))
                 r2_constant = max(
                     r2_constant, (lp + float(finite.max())) / (lp + sharp_lp)
@@ -598,9 +619,7 @@ def check_reverse_holder(
     for at, (V, w, _, mass) in cells:
         vals = np.abs((V @ coeffs[at, :, None])[..., 0])
         for i, (q, u) in enumerate(REVHOLDER_PAIRS):
-            num, den = ((np.sum(w * vals**e, axis=1) / mass) ** (1.0 / e) for e in (q, u))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios[at, i] = np.where(den == 0.0, np.where(num > 0.0, np.inf, 1.0), num / den)
+            ratios[at, i] = _ratio(*(_weighted_mean(vals, w, e, mass) for e in (q, u)))
     worst = _Worst(generator, cloud.depth)
     worst.offer_max(ratios.ravel(), lambda i: (
         f"poly_deg{degree}",
@@ -679,9 +698,9 @@ def _observe(config, cache, gen_index, name, cloud, window, quota, funcs, checke
     battery, ``checked`` and ``sharp`` the configured subsets of it.
     """
     rng = _check_rng(config.seed, _TAG_MONO, gen_index)
-    worst, reg, wits, n, entered = check_monotonicity(cloud, funcs, rng, quota, window, name)
+    worst, reg, wits, n = check_monotonicity(cloud, funcs, rng, quota, window, name)
     yield "monotonicity", None, worst, wits, n
-    yield "monotonicity_regularity", "regularity", reg, [], entered
+    yield "monotonicity_regularity", "regularity", reg, [], n
 
     rng = _check_rng(config.seed, _TAG_POINCARE, gen_index)
     samples = config.poincare_samples
@@ -761,7 +780,8 @@ def run_all(config: RunConfig) -> list[CheckResult]:
         for check, label, value, wits, evaluated in _observe(
             config, cache, gen_index, name, cloud, window, quota, funcs, checked, sharp
         ):
-            if not evaluated:
+            # A stability constant of 0.0 rests on no item (module docstring).
+            if not evaluated or label is not None and value == 0.0:
                 continue
             if label is None:
                 worst, worst_wits, total = direct.get(check, (value, wits, 0))

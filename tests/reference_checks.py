@@ -4,8 +4,7 @@ Kept verbatim as the reference ``frakspace.verify.check_monotonicity``,
 ``check_poincare`` and ``check_reverse_holder`` are pinned to: each cube a
 ``restrict`` scan and one ``best_approx`` (or ``reverse_holder_ratio``)
 call, in draw order, with an early exit once enough cubes evaluate. Their
-return values are the loops' own; the batched monotonicity check also
-returns how many draws entered its regularity constant.
+return values are the loops' own.
 """
 from __future__ import annotations
 

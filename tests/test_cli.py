@@ -158,12 +158,43 @@ class TestVerify:
         ]) == 0
         assert (a / "verify.csv").read_text() != (b / "verify.csv").read_text()
 
-    def test_empty_generator_list(self, tmp_path):
-        cfg = write_config(tmp_path, {"generators": []})
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
-        lines = (tmp_path / "verify.csv").read_text().splitlines()
-        assert lines[0] == "# frakspace v1"
-        assert len(lines) == 2  # marker + column header only
+    @pytest.mark.parametrize(
+        "generators,fault",
+        [
+            pytest.param([], "names no cloud", id="no-generator"),
+            pytest.param([["interval", []]], "'interval' needs one entry", id="no-depth"),
+            pytest.param(
+                [["interval", [6]], ["interval", [8]]], "'interval' needs one entry",
+                id="generator-twice",
+            ),
+            pytest.param([["interval", [6, 6]]], "'interval' needs one entry", id="depth-twice"),
+        ],
+    )
+    def test_unusable_generators_fail_cleanly(self, tmp_path, capsys, generators, fault):
+        # No cloud would print nothing and pass; a generator named twice would
+        # compare depths drawn from two seed streams and radius windows; a
+        # depth named twice would build one cloud twice.
+        cfg = write_config(tmp_path, {"generators": generators})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "'generators'" in err and fault in err
+        assert not (tmp_path / "verdict.txt").exists()
+
+    def test_misspelled_budget_name_fails_cleanly(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {"generators": [["interval", [6]]], "budget_overrides": {"monotonicty": 0.5}},
+        )
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "['monotonicty']" in err and "'monotonicity'" in err
+        assert not (tmp_path / "verdict.txt").exists()
+
+    def test_negative_seed_flag_fails_cleanly(self, tmp_path, capsys):
+        assert main(["verify", "--seed", "-1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "'seed'" in err and ">= 0" in err
+        assert not (tmp_path / "verdict.txt").exists()
 
     def test_single_depth_stability_checks_not_evaluated(self, tmp_path, capsys):
         cfg = write_config(

@@ -48,6 +48,36 @@ class TestRestrict:
         assert mass == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("name,depth", [("interval", 5), ("cantor4", 3), ("square", 3)])
+def test_cube_membership_agrees_on_faces(name, depth):
+    # Each cube about a point i has point j on a face: its half-side is their
+    # exact Chebyshev distance. ahlfors_constants draws i from seed ``seed``.
+    cloud = fs.build_cloud(fs.generator_spec(name), depth)
+    seeds, centres, faces = range(12), [], []
+    for seed in seeds:
+        i = np.random.default_rng(seed).integers(0, cloud.size, size=1)[0]
+        dist = np.abs(cloud.points - cloud.points[i]).max(axis=1)
+        far = np.flatnonzero(dist >= cloud.resolution_scale)
+        centres.append(i)
+        faces.append(far[7 * seed % far.size])
+    centres = np.array(centres)
+    halves = np.abs(cloud.points[faces] - cloud.points[centres]).max(axis=1)
+    members = {}
+    index = np.arange(cloud.size, dtype=float)[None]
+    for at, (_, w, f, mass) in fs.rankspace._cube_cells(cloud, index, 1, cloud.points[centres], halves):
+        members.update((c, (row[live > 0.0], m)) for c, row, live, m in zip(at, f[0], w, mass))
+    assert sorted(members) == list(seeds)
+    for seed in seeds:
+        cube = fs.Cube(cloud.points[centres[seed]], float(halves[seed]))
+        idx, mass = fs.restrict(cloud, cube)
+        assert faces[seed] in idx
+        assert np.array_equal(np.flatnonzero(cube.contains(cloud.points)), idx)
+        assert np.array_equal(members[seed][0], idx)
+        assert members[seed][1] == pytest.approx(mass, rel=1e-14)
+        report = fs.ahlfors_constants(cloud, 1, [cube.half_side], rng=seed)
+        assert report.c1_hat == report.c2_hat == mass / cube.half_side**cloud.s
+
+
 class TestNet:
     def test_counts_and_partition(self):
         bbox = (np.zeros(2), np.ones(2))

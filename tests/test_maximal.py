@@ -542,6 +542,23 @@ def assert_cubes_match_the_distance_test(cloud, scales, quota, budget):
     assert seen == list(range(scales.size))
 
 
+def test_padded_batches_take_lengths_in_any_order():
+    lengths = np.array([2, 5, 1, 5, 3, 2, 4])
+    starts = np.concatenate([[0], lengths.cumsum()[:-1]])
+    size = int(lengths.sum())
+    flat = np.append(np.arange(size)[::-1], size)  # the padding index last
+    seen = []
+    for part, idx in fs.rankspace._padded_batches(flat, starts, lengths, 10):
+        assert idx.shape == (part.size, lengths[part].max())
+        assert part.size == 1 or idx.size <= 10
+        for r, row in zip(part, idx):
+            assert np.array_equal(row[: lengths[r]], flat[starts[r] : starts[r] + lengths[r]])
+            assert (row[lengths[r] :] == size).all()
+        seen += part.tolist()
+    # Longest first, equal lengths in their given order, each slice once.
+    assert seen == [1, 3, 6, 4, 0, 5, 2]
+
+
 class TestRankSpaceCubes:
     @pytest.mark.parametrize("quota", [1, 12])
     @pytest.mark.parametrize(

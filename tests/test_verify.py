@@ -145,11 +145,10 @@ class TestRunConfig:
 class TestSingleChecks:
     def test_monotonicity_within_budget(self, dust3):
         funcs = [fs.sample(tf, dust3) for tf in fs.battery(dust3)[:6]]
-        worst, regularity, wits, evaluated, entered = fs.check_monotonicity(
+        worst, regularity, wits, evaluated = fs.check_monotonicity(
             dust3, funcs, np.random.default_rng(1), pairs=40
         )
         assert evaluated >= 40
-        assert 0 < entered <= evaluated
         assert worst <= 1.0 + 1e-6
         assert regularity >= 1.0
         assert all(isinstance(w, fs.Witness) for w in wits)
@@ -320,6 +319,21 @@ class TestRunAll:
         assert results["monotonicity"].evaluated == 2
         assert all(r.passed for r in results.values() if r.evaluated)
 
+    def test_constants_no_item_entered_are_not_evaluated(self):
+        # Constant functions have zero local errors and sharp values, so the
+        # embedding, Poincare and right sharp constants are 0.0 at every
+        # depth, where a 0.0 once failed the run as an infinite drift.
+        cfg = fs.RunConfig.from_dict({
+            "generators": [["interval", [6, 8]]],
+            "check_functions": ["const_one"],
+            "sharp_functions": ["const_one"],
+        })
+        results = {r.check_name: r for r in fs.run_all(cfg)}
+        for name in ("embedding_stability", "poincare_stability", "sharp_equivalence_right_stability"):
+            assert results[name].evaluated == 0 and np.isnan(results[name].worst_constant), name
+            assert results[name].witnesses == ()
+        assert all(r.passed for r in results.values() if r.evaluated)
+
     def test_single_depth_leaves_stability_not_evaluated(self):
         cfg = fs.RunConfig.from_dict(
             dict(SMALL_CONFIG, generators=[["interval", [5]], ["cantor4", [2]]])
@@ -430,8 +444,7 @@ class TestBatchedChecksMatchLoops:
                 cloud, funcs, np.random.default_rng(seed), 24, window, name
             )
             got = fs.check_monotonicity(cloud, funcs, np.random.default_rng(seed), 24, window, name)
-            assert_same_outcome(got[:4], want, scale)
-            assert 0 <= got[4] <= got[3]
+            assert_same_outcome(got, want, scale)
         if window is not None:  # some draws were skipped, and enough kept
             assert {fs.TooFewPoints, fs.RankDeficient} <= set(raised)
             assert got[3] == 24
