@@ -16,13 +16,11 @@ __all__ = ["Cube", "Net", "restrict", "dyadic_net"]
 
 
 def _chebyshev(points: np.ndarray, centre: np.ndarray) -> np.ndarray:
-    """Distances max_a |p_a - c_a| of ``points`` [N, n] to one centre [n],
-    shape [N], or to each of centres [C, n], shape [C, N]."""
-    c = centre.T[..., None] if centre.ndim > 1 else centre
+    """Distances max_a |p_a - c_a| of ``points`` [N, n] to ``centre`` [n], [N]."""
     # Axis by axis: numpy reduces a short trailing axis slowly.
-    dist = np.abs(points[:, 0] - c[0])
+    dist = np.abs(points[:, 0] - centre[0])
     for axis in range(1, points.shape[1]):
-        np.maximum(dist, np.abs(points[:, axis] - c[axis]), out=dist)
+        np.maximum(dist, np.abs(points[:, axis] - centre[axis]), out=dist)
     return dist
 
 

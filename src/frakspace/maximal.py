@@ -358,10 +358,10 @@ def error_matrices(
     rounding bound keeps each within BOX_RTOL / 2 of exact, or settles it at
     the kernel's zero clamp (``_table_errors``); the cubes left over are
     fitted as above, in batches that fit each function the tables left open
-    on some cube of the batch, and those fits replace the batch's table
-    values. So a cell's last bits depend on which functions
-    share the call, since batch sizes follow the function count (up to
-    1.8e-12 relative in the cases that README's verify section lists).
+    on some cube of the batch, and a fit fills only the cells left open. So
+    a fitted cell's last bits depend on which functions share the call,
+    since batch sizes follow the function count, and a table cell's do not
+    (README's verify section lists the cells that differ).
     """
     if not (1.0 <= u < math.inf):
         raise OutOfRange(f"u must lie in [1, inf), got {u}")
@@ -386,11 +386,11 @@ def error_matrices(
         for centres, idx in batches:
             V, w, f, mass = batch(idx, cloud.points[centres], grid.scales[j])
             # Only the functions that some cube of the batch still needs are
-            # fitted, and their fits replace any table values of the batch.
+            # fitted, and their fits fill only the cells the tables left open.
             rows = np.flatnonzero(~settled[:, centres, j].all(axis=1))
-            out[rows[:, None], centres, j] = (
-                _local_errors(V, w, f[rows], u, mass)[0] / mass ** (1.0 / u)
-            )
+            fit = _local_errors(V, w, f[rows], u, mass)[0] / mass ** (1.0 / u)
+            at = rows[:, None], centres, j
+            out[at] = fit if settle is None else np.where(settled[at], out[at], fit)
         out[:, :, j] = out[:, first, j]
     skipped = np.isnan(out).all(axis=2).any(axis=0)
     if skipped.any():

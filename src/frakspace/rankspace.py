@@ -11,11 +11,13 @@ tables may restart at tile faces (``_tilings``), so a box inside one tile is
 summed from local terms, and the tilings of a group of scales stack as one
 array (``_table_layout``), built, scanned (segmented, Blelloch 1990) and read once.
 
-Cubes, net cells and the checks' cubes about any centre (``_cube_cells``)
-alike go to numpy in batches idx[L, W] of point indices
-(``_padded_batches``): a row per cell, its members first, then the index N.
-Every per-point array a batch indexes has an entry N of weight and value
-zero, so padding adds nothing to a mass, a sum or a fit (``_fit_batches``).
+One gather (``_gather``) lists the members of cubes about any centres with
+any half-sides, the matrices' (``_cubes``) and the checks' (``_cube_cells``)
+alike, and packs them by member count. Cubes and net cells go to numpy in
+batches idx[L, W] of point indices (``_padded_batches``): a row per cell,
+its members first, then the index N. Every per-point array a batch indexes
+has an entry N of weight and value zero, so padding adds nothing to a mass,
+a sum or a fit (``_fit_batches``).
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _chebyshev
 from .measure import WeightedPointCloud
 from .polyapprox import _vandermonde, multi_indices
 
@@ -46,11 +47,11 @@ GRID_CELLS_PER_POINT = 4
 class _RankGrid:
     """The cloud's coordinates ranked per axis (``_rank_grid``).
 
-    ``order[a]`` sorts the points along axis a, ``axes[a]`` holds the
-    distinct coordinates of axis a in increasing order, ``starts[a]`` the
-    position in ``order[a]`` of each one's first point, with N appended,
-    and ``ranks[a][i]`` is one more than the index of point i's coordinate
-    in ``axes[a]``.
+    ``order`` sorts the points along each axis in turn, then holds the
+    padding index N: rank r of axis a is entry a N + r. ``axes[a]`` holds
+    the distinct coordinates of axis a in increasing order, ``starts[a]``
+    the rank of each one's first point, with N appended, and ``ranks[a][i]``
+    is one more than the index of point i's coordinate in ``axes[a]``.
     """
 
     points: np.ndarray
@@ -61,9 +62,9 @@ class _RankGrid:
 
 
 def _rank_grid(cloud: WeightedPointCloud) -> _RankGrid:
-    """The cloud's coordinates ranked per axis, for ``_cubes`` and the tables."""
+    """The cloud's coordinates ranked per axis, for ``_gather`` and the tables."""
     pts, (size, n) = cloud.points, cloud.points.shape
-    order = np.stack([np.argsort(pts[:, axis], kind="stable") for axis in range(n)])
+    order = [np.argsort(pts[:, axis], kind="stable") for axis in range(n)]
     axes, starts, ranks = [], [], []
     for axis, by in enumerate(order):
         coords = pts[by, axis]
@@ -74,7 +75,7 @@ def _rank_grid(cloud: WeightedPointCloud) -> _RankGrid:
         axes.append(coords[new])
         starts.append(np.append(np.flatnonzero(new), size))
         ranks.append(rank)
-    return _RankGrid(pts, order, axes, starts, ranks)
+    return _RankGrid(pts, np.concatenate(order + [[size]]), axes, starts, ranks)
 
 
 def _padded_batches(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray, budget: int):
@@ -101,67 +102,78 @@ def _cubes(rank: _RankGrid, scales: np.ndarray, quota: int, budget: int, settle=
     """The distinct cubes Q(x_i, t_j) of at least ``quota`` points, in rank space.
 
     Yields, per scale, (j, first, batches): ``first[i]`` is the lowest centre
-    whose runs of admitted distinct coordinates (``_admitted_runs``) equal
-    x_i's on every axis, so whose cube holds the same points, and
-    ``batches`` yields (centres, idx) for the first centres whose cubes may
-    meet the quota, row r of idx the padded members of the cube about
-    ``centres[r]`` (``_padded_batches``). A cube's candidates are the run of
-    its narrowest axis, a slice of that axis's order, kept by the test
-    ``|p_a - c_a| <= t`` on the other axes. ``settle(js, reps, runs)``, when
-    given, first sees the first centres ``reps`` of a group of scales ``js``
-    and their runs [R, n, 2], if any, and returns the mask of those it
-    settled, which are not built; a group holds the scales whose tables of
-    ``rows`` per grid cell and tiling (2**n each) fit GROUP_ELEMS, one at least.
+    whose runs (``_admitted_runs``) equal x_i's on every axis, so whose cube
+    holds the same points, and ``batches`` yields (centres, idx) for those
+    first centres whose cubes meet the quota, as ``_gather`` packs them.
+    ``settle(js, reps, runs)``, when given, first sees the first centres
+    ``reps`` of a group of scales ``js`` and their runs [R, n, 2], and
+    returns the mask of those it settled, which are not gathered; a group
+    holds the scales whose tables of ``rows`` per grid cell and tiling (2**n
+    each) fit GROUP_ELEMS, one at least.
     """
     pts, (size, n) = rank.points, rank.points.shape
-    # Rank r of axis a is entry a * N + r; the entry after them is the padding.
-    ranked = np.append(rank.order.ravel(), size)
 
-    def batches(centres, axis, starts, lengths, t):
-        # Per run axis and longest run first: a batch shares its run axis,
-        # and its first cube sets its width.
-        for run_axis in range(n):
-            on = centres[axis[centres] == run_axis]
-            for part, idx in _padded_batches(ranked, starts[on], lengths[on], budget):
-                c = on[part]
-                if n > 1:  # in 1-D the run is the cube
-                    inside = idx < size
-                    for x in (x for a, x in enumerate(pts.T) if a != run_axis):
-                        # Padding reads point N - 1, and ``inside`` masks it out.
-                        inside &= np.abs(x.take(idx, mode="clip") - x[c, None]) <= t
-                    count = np.count_nonzero(inside, axis=1)
-                    keep = count >= quota
-                    if not keep.any():
-                        continue
-                    c, count, inside, idx = c[keep], count[keep], inside[keep], idx[keep]
-                    # Members to the front of their rows, in run order.
-                    row = np.nonzero(inside)[0]
-                    packed = np.full((c.size, int(count.max())), size)
-                    packed[row, np.arange(row.size) - (count.cumsum() - count)[row]] = idx[inside]
-                    idx = packed
-                yield c, idx
+    def named(centres, gathered):
+        return ((centres[part], idx) for part, idx in gathered)
 
-    everyone = np.arange(size)
     step = 1 if settle is None else max(1, GROUP_ELEMS // (2**n * math.prod(x.size for x in rank.axes) * rows))
     for start in range(0, len(scales), step):
-        held, cut = [], []
+        firsts, cut = [], []
         for j in range(start, min(start + step, len(scales))):
-            runs = np.stack([_admitted_runs(x, pts[:, a], scales[j]) for a, x in enumerate(rank.axes)], axis=1)
+            runs = np.stack([_admitted_runs(x, c, scales[j]) for x, c in zip(rank.axes, pts.T)], axis=1)
             first = _first_alike(runs.reshape(size, 2 * n))
-            # The runs as slices of each axis's order.
-            ends = np.stack([at[runs[:, a]] for a, at in enumerate(rank.starts)], axis=1)
-            lengths = ends[..., 1] - ends[..., 0]
-            axis = lengths.argmin(axis=1)
-            starts, lengths = ends[everyone, axis, 0] + axis * size, lengths[everyone, axis]
-            centres = np.flatnonzero((first == everyone) & (lengths >= quota))
-            held.append((j, first, axis, starts, lengths))
+            # No cube holds more points than its narrowest run.
+            narrow = np.min([np.diff(at[r])[:, 0] for at, r in zip(rank.starts, runs.transpose(1, 0, 2))], axis=0)
+            centres = np.flatnonzero((first == np.arange(size)) & (narrow >= quota))
+            firsts.append(first)
             cut.append((j * size + centres, runs[centres]))
         cubes, kept = map(np.concatenate, zip(*cut))  # cube j N + i: centre i at scale j
         if settle is not None and cubes.size:
-            cubes = cubes[~settle(cubes // size, cubes % size, kept)]
-        parts = np.split(cubes, np.searchsorted(cubes, size * np.arange(start + 1, start + len(held))))
-        for (j, first, axis, starts, lengths), part in zip(held, parts):
-            yield j, first, batches(part - j * size, axis, starts, lengths, scales[j])
+            open_ = ~settle(cubes // size, cubes % size, kept)
+            cubes, kept = cubes[open_], kept[open_]
+        cuts = np.searchsorted(cubes, size * np.arange(start + 1, start + len(firsts)))
+        for j, first, c, runs in zip(itertools.count(start), firsts, np.split(cubes, cuts), np.split(kept, cuts)):
+            c -= j * size
+            yield j, first, named(c, _gather(rank, pts[c], np.full(c.size, scales[j]), budget, quota, runs))
+
+
+def _gather(rank: _RankGrid, centres: np.ndarray, halves: np.ndarray, budget: int, least: int = 1, runs=None):
+    """The members of cubes Q(centres[c], halves[c]) in padded batches.
+
+    A cube's candidates are the run of its narrowest axis (of ``runs`` [C,
+    n, 2], from ``_admitted_runs`` if None), drawn in slabs of at most
+    CHUNK_ELEMS and kept by the test ``|p_a - c_a| <= t`` on every axis; in
+    1-D the run is the cube. Yields (part, idx) as ``_padded_batches`` does,
+    for the cubes of at least ``least`` >= 1 members, in run order, packed
+    by member count within a slab.
+    """
+    size, n = rank.points.shape
+    if runs is None:
+        runs = np.stack([_admitted_runs(x, c, halves) for x, c in zip(rank.axes, centres.T)], axis=1)
+    ends = np.stack([at[r] for at, r in zip(rank.starts, runs.transpose(1, 0, 2))], axis=1)
+    lengths = ends[..., 1] - ends[..., 0]
+    axis, cubes = lengths.argmin(axis=1), np.arange(len(runs))
+    starts, lengths = ends[cubes, axis, 0] + axis * size, lengths[cubes, axis]
+    if n == 1:
+        held = np.flatnonzero(lengths >= least)
+        for part, idx in _padded_batches(rank.order, starts[held], lengths[held], budget):
+            yield held[part], idx
+        return
+    offsets = np.append(0, np.cumsum(lengths))
+    done = 0
+    while done < cubes.size:
+        end = max(done + 1, np.searchsorted(offsets, offsets[done] + CHUNK_ELEMS, side="right") - 1)
+        slab = cubes[done:end]
+        cube = np.repeat(slab, lengths[slab])
+        cand = rank.order[np.arange(cube.size) + np.repeat(starts[slab] - offsets[slab] + offsets[done], lengths[slab])]
+        inside, t = np.ones(cube.size, dtype=bool), halves[cube]
+        for x, c in zip(rank.points.T, centres.T):
+            inside &= np.abs(x[cand] - c[cube]) <= t
+        count = np.bincount(cube[inside] - done, minlength=slab.size)
+        held = np.flatnonzero(count >= least)
+        for part, idx in _padded_batches(np.append(cand[inside], size), (count.cumsum() - count)[held], count[held], budget):
+            yield done + held[part], idx
+        done = end
 
 
 def _first_alike(runs: np.ndarray) -> np.ndarray:
@@ -180,24 +192,21 @@ def _first_alike(runs: np.ndarray) -> np.ndarray:
     return first
 
 
-def _admitted_runs(coords: np.ndarray, centres: np.ndarray, t: float) -> np.ndarray:
-    """Runs [lo, hi) of sorted ``coords`` with ``|coord - c| <= t``, [C, 2].
-
-    Each centre must be one of the coordinates, so no run is empty.
-    """
-    lo = np.searchsorted(coords, centres - t)
-    hi = np.searchsorted(coords, centres + t, side="right")
-    # c - t and c + t are rounded: move each end until the test admits the
-    # coordinate just inside it and not the one just outside.
+def _admitted_runs(coords: np.ndarray, centres: np.ndarray, halves) -> np.ndarray:
+    """Runs [lo, hi) of sorted ``coords`` with ``|coord - c| <= t``, [C, 2],
+    for centres c with half-sides t (one, or one each): lo is the first x
+    with c - x <= t, hi the first with x - c > t. Rounded, each test turns
+    once along the coordinates, so those between pass, and lo = hi where
+    none does."""
+    ends = np.stack([np.searchsorted(coords, centres - halves), np.searchsorted(coords, centres + halves, "right")])
+    # c - t and c + t are rounded: move each end until it meets its test.
     while True:
-        ends = np.stack([lo, lo - 1, hi - 1, hi])
-        inside = np.abs(centres - coords.take(ends, mode="clip")) <= t
-        lo_down, hi_up = (lo > 0) & inside[1], (hi < coords.size) & inside[3]
-        lo_up, hi_down = ~inside[0], ~inside[2]
-        if not (lo_up | lo_down | hi_down | hi_up).any():
-            return np.stack([lo, hi], axis=1)
-        lo = lo + lo_up - lo_down
-        hi = hi + hi_up - hi_down
+        x = coords.take(np.stack([ends, ends - 1]), mode="clip")  # each end's coordinate, then the one before
+        turned = np.stack([centres - x[:, 0] <= halves, x[:, 1] - centres > halves], axis=1)
+        up, down = (ends < coords.size) & ~turned[0], (ends > 0) & turned[1]
+        if not (up | down).any():
+            return ends.T
+        ends += up.astype(int) - down
 
 
 def _tilings(rank: _RankGrid, runs: np.ndarray, sides: np.ndarray, scale: np.ndarray):
@@ -352,24 +361,13 @@ def _cube_cells(
 ):
     """The kernel's arguments (V, w, f, mass) on cubes Q(centres[c], halves[c]).
 
-    A cube's members pass ``Cube.contains``' test and keep their index
-    order, so they are ``restrict``'s; each test covers at most CHUNK_ELEMS
-    (cube, point) pairs. Yields (cubes, args) for the cubes of at least
-    ``least`` >= 1 members, most members first within a test, as
-    ``_fit_batches`` gathers them: cube c holds function ``rows[c]`` of
-    ``values`` [F, N] (all F if ``rows`` is None), in the chart (origins [C,
-    n], half-sides [C]) of ``charts``, by default its own.
+    Yields (cubes, args) for the cubes of at least ``least`` >= 1 members
+    as ``_gather`` packs them, each row sorted back to index order, so
+    ``restrict``'s: cube c holds function ``rows[c]`` of ``values`` [F, N]
+    (all F if ``rows`` is None), in the chart (origins [C, n], half-sides
+    [C]) of ``charts``, by default its own.
     """
-    pts, size = cloud.points, cloud.size
     origins, sides = (centres, halves) if charts is None else charts
     budget, batch = _fit_batches(cloud, values, k, rows is not None)
-    step = max(1, CHUNK_ELEMS // size)
-    for start in range(0, len(centres), step):
-        dist = _chebyshev(pts, centres[start : start + step])
-        cube, member = np.nonzero(dist <= halves[start : start + step, None])
-        count = np.bincount(cube, minlength=len(dist))
-        starts = count.cumsum() - count
-        held = np.flatnonzero(count >= least)
-        for part, idx in _padded_batches(np.append(member, size), starts[held], count[held], budget):
-            at = start + held[part]
-            yield at, batch(idx, origins[at], sides[at, None, None], None if rows is None else rows[at])
+    for at, idx in _gather(_rank_grid(cloud), centres, halves, budget, least):
+        yield at, batch(np.sort(idx, axis=1), origins[at], sides[at, None, None], None if rows is None else rows[at])

@@ -275,6 +275,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise OutOfRange(f"config must be a JSON object, got {type(data).__name__}")
         fields = cls.__dataclass_fields__
         unknown = set(data) - set(fields)
         if unknown:

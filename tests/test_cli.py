@@ -294,6 +294,17 @@ class TestVerify:
         assert "unknown config keys: ['sharp_alpha']" in capsys.readouterr().err
         assert not (tmp_path / "verdict.txt").exists()
 
+    @pytest.mark.parametrize(
+        "payload,kind",
+        [([["mono_pairs", 3]], "list"), (["seed"], "list"), (3, "int"), (None, "NoneType"), ("x", "str")],
+    )
+    def test_config_that_is_not_an_object_fails_cleanly(self, tmp_path, capsys, payload, kind):
+        cfg = write_config(tmp_path, payload)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and f"JSON object, got {kind}" in err
+        assert not (tmp_path / "verdict.txt").exists()
+
     def test_malformed_json_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -626,6 +626,61 @@ class TestSharedCubeFits:
             got = (runs[:, :1] <= ranks) & (ranks < runs[:, 1:])
             assert np.array_equal(got, want)
 
+    def test_admitted_runs_about_any_centre(self, rng):
+        # Centres in the gaps between coordinates, on them, below the first
+        # and above the last, one half-side each, some too small to admit
+        # any coordinate: then lo = hi.
+        for _ in range(50):
+            coords = np.sort(rng.random(12))
+            gaps = 0.5 * (coords[1:] + coords[:-1])
+            centres = np.concatenate([gaps, coords, [coords[0] - 0.1, coords[-1] + 0.1, -1.0, 2.0]])
+            halves = 10.0 ** rng.uniform(-4.0, -0.5, centres.size)
+            halves[::5] = np.abs(centres - coords[:, None]).min(axis=0)[::5]  # a coordinate on a face
+            runs = fs.rankspace._admitted_runs(coords, centres, halves)
+            ranks = np.arange(coords.size)
+            want = np.abs(centres[:, None] - coords[None, :]) <= halves[:, None]
+            got = (runs[:, :1] <= ranks) & (ranks < runs[:, 1:])
+            assert np.array_equal(got, want)
+            empty = ~want.any(axis=1)
+            assert empty.any() and np.all(runs[empty, 0] == runs[empty, 1])
+
+    def test_fits_fill_only_the_cells_the_tables_left_open(self, cantor4_d4, monkeypatch):
+        # A cell that the tables keep in a call of seven functions and in a
+        # call of one holds the same bits in both, whichever cubes share
+        # its batch.
+        cloud = cantor4_d4
+        grid = fs.ScaleGrid.dyadic(cloud)
+        funcs = {tf.name: tf for tf in fs.battery(cloud, 1)}
+        vals = np.stack([fs.sample(funcs[name], cloud).values for name in fs.RunConfig().check_functions])
+        tables, settled = fs.maximal._table_errors, []
+
+        def reading(*args):
+            settled.append(args[-1])
+            return tables(*args)
+
+        monkeypatch.setattr(fs.maximal, "_table_errors", reading)
+        together = fs.error_matrices(cloud, vals, 2, 2.0, grid)
+        for f, kept in enumerate(settled.pop()):
+            alone = fs.error_matrices(cloud, vals[f : f + 1], 2, 2.0, grid)[0]
+            both = kept & settled.pop()[0]
+            assert both.any()
+            assert np.array_equal(together[f][both], alone[both], equal_nan=True), f
+
+    def test_batches_are_packed_by_member_count(self, monkeypatch):
+        # On cantor4 d6 a cube's narrowest run holds far more points than
+        # the cube; batches sized by the run made 1,248 kernel calls here.
+        cloud = fs.build_cloud(fs.generator_spec("cantor4"), 6)
+        vals = np.stack([fs.sample(tf, cloud).values for tf in fs.battery(cloud, 1)[7:14]])
+        kernel, calls = fs.maximal._local_errors, []
+
+        def counting(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(fs.maximal, "_local_errors", counting)
+        fs.error_matrices(cloud, vals, 1, 1.0, fs.ScaleGrid.dyadic(cloud))
+        assert len(calls) <= 1248 // 2
+
     def test_each_distinct_cube_is_read_or_fitted_once(self, cantor4_d4, monkeypatch):
         # At (k, u) = (2, 2) summed-area tables settle some cubes; every other
         # distinct cube is fitted once, and no cube is both.

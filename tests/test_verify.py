@@ -423,6 +423,30 @@ class TestBatchedChecksMatchLoops:
                 seen.append(c)
         assert sorted(seen) == list(range(40))
 
+    @pytest.mark.parametrize("name,depth", [("interval", 5), ("square", 3), ("gapped", 4)])
+    def test_cube_members_about_centres_off_the_cloud(self, name, depth):
+        # Centres shifted off the cloud, as monotonicity's inner cubes are,
+        # and cubes about far centres or too small to hold a point.
+        cloud = pinned_cloud(name, depth)
+        rng = np.random.default_rng(7)
+        lo, hi = cloud.bbox
+        centres = cloud.points[rng.integers(cloud.size, size=60)]
+        halves = 10.0 ** rng.uniform(-3.0, -0.5, 60)
+        centres[:40] += (2.0 * rng.random((40, cloud.ambient_dim)) - 1.0) * halves[:40, None]
+        centres[40:50] = hi + 0.5 + rng.random((10, cloud.ambient_dim))
+        halves[50:] = 1e-9
+        centres[50:] += 0.5 * cloud.resolution_scale
+        index = np.arange(cloud.size, dtype=float)[None]
+        seen = []
+        for at, (_, w, f, mass) in fs.rankspace._cube_cells(cloud, index, 1, centres, halves):
+            for c, row, m in zip(at, f[0], mass):
+                idx, want = fs.restrict(cloud, fs.Cube(centres[c], float(halves[c])))
+                assert np.array_equal(row[: idx.size], idx) and not row[idx.size :].any()
+                assert m == pytest.approx(want, rel=1e-14)
+                seen.append(c)
+        held = [c for c in range(60) if fs.restrict(cloud, fs.Cube(centres[c], float(halves[c])))[0].size]
+        assert sorted(seen) == held and 0 < len(held) < 50
+
     @pytest.mark.parametrize("name,depth,window", PINNED_CLOUDS)
     def test_monotonicity(self, name, depth, window, monkeypatch):
         cloud = pinned_cloud(name, depth)
