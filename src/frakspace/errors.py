@@ -31,6 +31,8 @@ class OutOfRange(FrakspaceError, ValueError):
 class UnknownGenerator(FrakspaceError, KeyError):
     """Requested built-in generator name is not registered."""
 
+    __str__ = Exception.__str__  # KeyError's would quote the message
+
 
 class BudgetExceeded(FrakspaceError):
     """Requested cloud would exceed the point budget."""

@@ -358,10 +358,11 @@ def error_matrices(
     rounding bound keeps each within BOX_RTOL / 2 of exact, or settles it at
     the kernel's zero clamp (``_table_errors``); the cubes left over are
     fitted as above, in batches that fit each function the tables left open
-    on some cube of the batch, and a fit fills only the cells left open. So
-    a fitted cell's last bits depend on which functions share the call,
-    since batch sizes follow the function count, and a table cell's do not
-    (README's verify section lists the cells that differ).
+    on some cube of the batch, and a fit fills only the cells left open.
+    Batches hold the same cubes for any number of functions, so a cell
+    depends only on its own function, except that on this table path the
+    cubes left open for any function decide which cubes share a batch, and
+    a fitted cell's last bits with them (README's verify section).
     """
     if not (1.0 <= u < math.inf):
         raise OutOfRange(f"u must lie in [1, inf), got {u}")

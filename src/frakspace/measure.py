@@ -78,17 +78,31 @@ class IfsSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "IfsSpec":
-        try:
-            maps = tuple(
-                (m["ratio"], tuple(m["translate"])) for m in data["maps"]
-            )
-            return cls(
-                ambient_dim=int(data["ambient_dim"]),
-                maps=maps,
-                name=str(data.get("name", "ifs")),
-            )
-        except (KeyError, TypeError) as exc:
-            raise OutOfRange(f"malformed IFS document: {exc}") from exc
+        """Read a JSON document: an object of an integer ``ambient_dim``,
+        ``maps``, a list of objects of a ``ratio`` and a ``translate`` list,
+        all finite numbers, and an optional string ``name``. Any other key or
+        kind of value is refused."""
+
+        def need(ok, what, got):
+            if not ok:
+                raise OutOfRange(f"malformed IFS document: {what}, got {got!r}")
+            return got
+
+        def number(x, what, kind=(int, float)):
+            ok = isinstance(x, kind) and not isinstance(x, bool) and math.isfinite(x)
+            return need(ok, f"{what} must be {'an integer' if kind is int else 'a finite number'}", x)
+
+        keys = need(isinstance(data, dict), "the document must be an object", data).keys()
+        need({"ambient_dim", "maps"} <= keys <= {"ambient_dim", "maps", "name"},
+             "the keys must be ambient_dim, maps and optionally name", sorted(keys))
+        maps = []
+        for m in need(isinstance(data["maps"], list), "maps must be a list", data["maps"]):
+            ok = isinstance(m, dict) and m.keys() == {"ratio", "translate"} and isinstance(m["translate"], list)
+            need(ok, "a map must be an object of a ratio and a translate list", m)
+            maps.append((number(m["ratio"], "ratio"), tuple(number(t, "each translate entry") for t in m["translate"])))
+        name = data.get("name", "ifs")
+        need(isinstance(name, str), "name must be a string", name)
+        return cls(number(data["ambient_dim"], "ambient_dim", int), tuple(maps), name)
 
 
 def load_ifs(path) -> IfsSpec:

@@ -188,6 +188,16 @@ def monomial_matrix(points: np.ndarray, cube: Cube, k: int) -> tuple[np.ndarray,
     return _vandermonde(z, exps), exps
 
 
+def _cube_design(cloud: WeightedPointCloud, cube: Cube, k: int):
+    """The cube's points (``restrict``), their mass, and ``monomial_matrix``
+    there; a cube of fewer than ``point_quota`` of the basis size raises."""
+    needed = point_quota(basis_size(cloud.ambient_dim, k))
+    idx, mass = restrict(cloud, cube)
+    if idx.size < needed:
+        raise TooFewPoints(f"cube holds {idx.size} points, need {needed} for k={k} in dim {cloud.ambient_dim}")
+    return (idx, mass, *monomial_matrix(cloud.points[idx], cube, k))
+
+
 def _weighted_mean(values: np.ndarray, weights, e: float, mass, axis: int = -1) -> np.ndarray:
     """(sum w v**e / mass)**(1/e) of ``values`` >= 0 along ``axis``, their
     largest for e = inf: the L^e average, or with mass 1 the L^e norm."""
@@ -386,7 +396,6 @@ def _newton_errors(d, w, u):
     da, lo, hi = da / unit[:, None], lo / unit, hi / unit
     half = 0.5 * (hi - lo)
     tol = NEWTON_TOL * (hi - lo)
-    ones = np.ones(width)
     # Equal values give tol = 0, which no step from elsewhere meets: such a
     # pair starts at its value, so its bracket closes before the first step.
     c = np.where(lo == hi, lo, 0.0)
@@ -402,8 +411,9 @@ def _newton_errors(d, w, u):
         hi = np.where(slope >= 0.0, c, hi)
         lo = np.where(slope <= 0.0, c, lo)
         # 0 / 0 only where every value equals c, a pair the bracket stops.
+        # Row sums each on their own: g @ ones rounds by how many rows share g.
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = slope / ((1.0 - u) * (g @ ones))
+            step = slope / ((1.0 - u) * np.einsum("pw->p", g))
         size = np.abs(step)
         done = hi - lo <= 2.0 * tol
         if u > 2.0:
@@ -613,16 +623,8 @@ def make_projector(cloud: WeightedPointCloud, cube: Cube, k: int) -> Projector:
     so that the Gram matrix is trustworthy. The zero space (k = 0) takes the
     same steps with an empty basis: its projection is the zero polynomial.
     """
-    d = basis_size(cloud.ambient_dim, k)
-    idx, mass = restrict(cloud, cube)
-    needed = point_quota(d)
-    if idx.size < needed:
-        raise TooFewPoints(
-            f"cube holds {idx.size} points, need {needed} for k={k} in dim "
-            f"{cloud.ambient_dim}"
-        )
-    w = cloud.weights[idx]
-    V, exps = monomial_matrix(cloud.points[idx], cube, k)
+    idx, mass, V, exps = _cube_design(cloud, cube, k)
+    d, w = V.shape[1], cloud.weights[idx]
     lam, U = np.linalg.eigh(V.T @ (V * w[:, None]))
     if d and (lam[-1] <= 0.0 or lam[0] <= lam[-1] * RANK_RTOL_SV**2):
         raise RankDeficient(
@@ -729,13 +731,8 @@ def best_approx(
     if not (1.0 <= u < math.inf):
         raise OutOfRange(f"u must lie in [1, inf), got {u}")
     values = cloud.values_of(f)
-    d = basis_size(cloud.ambient_dim, k)
-    idx, mass = restrict(cloud, cube)
-    needed = point_quota(d)
-    if idx.size < needed:
-        raise TooFewPoints(f"cube holds {idx.size} points, need {needed} for k={k}")
     # k = 0 goes through too: an empty design, and fit_in_span's plain norm.
-    V, exps = monomial_matrix(cloud.points[idx], cube, k)
+    idx, mass, V, exps = _cube_design(cloud, cube, k)
     coef, value, iters, converged = fit_in_span(V, cloud.weights[idx], values[idx], u)
     minimizer = Polynomial(
         cloud.ambient_dim, k - 1, exps, coef, cube.center, cube.half_side

@@ -320,26 +320,27 @@ def _box_sums(layout: _Layout, tables: np.ndarray, runs: np.ndarray, which: np.n
         yield part, sums, spread
 
 
-def _fit_batches(cloud: WeightedPointCloud, values: np.ndarray, k: int, each: bool = False):
+def _fit_batches(cloud: WeightedPointCloud, values: np.ndarray, k: int):
     """The batch budget and batch builder for fits of ``values`` [F, N].
 
     ``batch(idx, origin, half, rows)`` gathers cells idx[L, W], padded with
     the index N, into the kernel's arguments (V, w, f, mass): V is the design
     in each cell's chart (x - origin[l]) / half, or None for constants (k =
     1), ``half`` one half-side or one per cell [L, 1, 1]. f holds every
-    function on every cell, or with ``each`` only function ``rows[l]`` on
-    cell l: [1, L, W]. A padding row of V is zero, its chart coordinates
-    zeroed first: point N, at the origin, can lie far outside a small cell's
-    chart, where its monomials of high degree would overflow.
+    function on every cell, [F, L, W], or function ``rows[l]`` on cell l,
+    [1, L, W]. A padding row of V is zero, its chart coordinates zeroed
+    first: point N, at the origin, can lie far outside a small cell's chart,
+    where its monomials of high degree would overflow. A batch keeps about
+    two arrays of L W elements per basis column and per function; the
+    budget on L W counts one function, so no batch, nor any fit, depends on
+    which functions share a call, and a batch's memory grows with F.
     """
     n = cloud.ambient_dim
     exps = np.asarray(multi_indices(n, k - 1), dtype=int).reshape(-1, n)
     pts = np.vstack([cloud.points, np.zeros((1, n))])
     wts = np.append(cloud.weights, 0.0)
     vals = np.concatenate([values, np.zeros((values.shape[0], 1))], axis=1)
-    # A batch of fits keeps about two arrays per function and basis column
-    # alive, each holding one element per (cell, point) pair.
-    budget = max(1, CHUNK_ELEMS // (2 * ((1 if each else values.shape[0]) + exps.shape[0])))
+    budget = max(1, CHUNK_ELEMS // (2 * (1 + exps.shape[0])))
 
     def batch(idx, origin, half, rows=None):
         w = wts[idx]
@@ -356,9 +357,7 @@ def _fit_batches(cloud: WeightedPointCloud, values: np.ndarray, k: int, each: bo
     return budget, batch
 
 
-def _cube_cells(
-    cloud: WeightedPointCloud, values, k: int, centres, halves, least=1, rows=None, charts=None
-):
+def _cube_cells(cloud: WeightedPointCloud, values, k: int, centres, halves, least=1, rows=None, charts=None):
     """The kernel's arguments (V, w, f, mass) on cubes Q(centres[c], halves[c]).
 
     Yields (cubes, args) for the cubes of at least ``least`` >= 1 members
@@ -368,6 +367,6 @@ def _cube_cells(
     [C]) of ``charts``, by default its own.
     """
     origins, sides = (centres, halves) if charts is None else charts
-    budget, batch = _fit_batches(cloud, values, k, rows is not None)
+    budget, batch = _fit_batches(cloud, values, k)
     for at, idx in _gather(_rank_grid(cloud), centres, halves, budget, least):
         yield at, batch(np.sort(idx, axis=1), origins[at], sides[at, None, None], None if rows is None else rows[at])

@@ -54,6 +54,41 @@ class TestBuild:
         assert main(["build", str(path), "--depth", "3"]) == 0
         assert "8 points" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("ambient_dim", 1.5),
+            ("ambient_dim", True),
+            ("ambient_dim", "1"),
+            ("translate", [True]),
+            ("ratio", "0.5"),
+            ("extra", 1),  # an unknown key
+            ("translate", [float("nan")]),
+        ],
+    )
+    def test_malformed_ifs_document_fails_cleanly(self, tmp_path, capsys, field, value):
+        halves = {"ratio": 0.5, "translate": [0.0]}, {"ratio": 0.5, "translate": [0.5]}
+        spec = {"ambient_dim": 1, "maps": [dict(m) for m in halves]}
+        if field in ("ratio", "translate"):
+            spec["maps"][1][field] = value
+        else:
+            spec[field] = value
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(spec))
+        assert main(["build", str(path), "--depth", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed IFS document: ") and err.count("\n") == 1
+        assert field in err
+
+    def test_unknown_generator_message_is_unquoted(self, capsys):
+        assert main(["build", "nope", "--depth", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown generator 'nope'; known: [")
+
+    def test_missing_ifs_document_message_is_unquoted(self, tmp_path, capsys):
+        path = tmp_path / "nope.json"
+        assert main(["norms", str(path), "--depth", "2"]) == 2
+        assert capsys.readouterr().err == f"error: no such IFS document: {path}\n"
+
 
 class TestNorms:
     def test_writes_table_for_battery(self, tmp_path, capsys):
@@ -179,6 +214,11 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "'generators'" in err and fault in err
         assert not (tmp_path / "verdict.txt").exists()
+
+    def test_unknown_generator_in_config_is_unquoted(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"generators": [["nope", [3]]]})
+        assert main(["verify", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown generator 'nope'; known: [")
 
     def test_misspelled_budget_name_fails_cleanly(self, tmp_path, capsys):
         cfg = write_config(

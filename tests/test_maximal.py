@@ -666,6 +666,27 @@ class TestSharedCubeFits:
             assert both.any()
             assert np.array_equal(together[f][both], alone[both], equal_nan=True), f
 
+    @pytest.mark.parametrize("name,depth", [("interval", 8), ("cantor4", 4)])
+    def test_a_cell_depends_only_on_its_own_function(self, name, depth):
+        # Fit batches take the same cubes whatever the function count, so
+        # seven functions in one call are fitted bit for bit as seven calls
+        # of one; when batches followed the count, 738 cells (interval d8)
+        # and 1,363 (cantor4 d4) differed here. At (2, 2) the cubes that the
+        # tables leave open for some function decide which cubes share a
+        # batch, so a fitted cell may move by rounding.
+        cloud = build(name, depth)
+        grid = fs.ScaleGrid.dyadic(cloud)
+        vals = np.stack([fs.sample(tf, cloud).values for tf in fs.battery(cloud, 1)[7:14]])
+        for k, u in [(1, 1.0), (1, 2.0), (1, 3.0), (1, 4.0), (2, 1.0), (2, 2.0), (2, 3.0), (3, 2.0)]:
+            together = fs.error_matrices(cloud, vals, k, u, grid)
+            alone = np.stack([fs.error_matrices(cloud, f[None], k, u, grid)[0] for f in vals])
+            if (k, u) != (2, 2.0):
+                assert np.array_equal(together, alone, equal_nan=True), (k, u)
+                continue
+            assert np.array_equal(np.isnan(together), np.isnan(alone))
+            gap = np.nan_to_num(np.abs(together - alone)) / np.abs(vals).max(axis=1)[:, None, None]
+            assert gap.max() <= 1e-15
+
     def test_batches_are_packed_by_member_count(self, monkeypatch):
         # On cantor4 d6 a cube's narrowest run holds far more points than
         # the cube; batches sized by the run made 1,248 kernel calls here.
