@@ -67,8 +67,7 @@ class TestBuild:
         ],
     )
     def test_malformed_ifs_document_fails_cleanly(self, tmp_path, capsys, field, value):
-        halves = {"ratio": 0.5, "translate": [0.0]}, {"ratio": 0.5, "translate": [0.5]}
-        spec = {"ambient_dim": 1, "maps": [dict(m) for m in halves]}
+        spec = {"ambient_dim": 1, "maps": [{"ratio": 0.5, "translate": [0.0]}, {"ratio": 0.5, "translate": [0.5]}]}
         if field in ("ratio", "translate"):
             spec["maps"][1][field] = value
         else:
